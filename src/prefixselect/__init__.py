@@ -33,7 +33,6 @@ from .refinement import (
     choose_sliced_prefix,
     classify_domain_types,
     extract_precision,
-    refine_classic,
     refine_selecting,
     score_interpolant_sequence,
 )

@@ -1,9 +1,10 @@
 """Command-line interface: verify, bench, gen.
 
-Exit codes for ``verify``: 0 TRUE, 1 FALSE, 2 UNKNOWN, 3 input error.  Bench
-output is deterministic by default; measured durations go into the CSV only
-with --timings, because wall-clock noise would break byte-stable output (the
-JSON stats from ``verify`` always carry real durations).
+Exit codes for ``verify``: 0 TRUE, 1 FALSE, 2 UNKNOWN, 3 input error, 4
+internal error (the checker crashed; there is no verdict).  Bench output is
+deterministic by default; measured durations go into the CSV only with
+--timings, because wall-clock noise would break byte-stable output (the JSON
+stats from ``verify`` always carry real durations).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path as FsPath
-from typing import Optional
+from typing import Callable, Optional
 
 from .engine import Limits, RunStats, Verdict, cegar
 from .frontend import ParseError, cfa_to_dot, load_cfa
@@ -46,37 +47,46 @@ def _run_file(
     return cegar(cfa, heuristic, limits)
 
 
-def _child_run(conn, path: str, heuristic_name: str, limits: Limits) -> None:
+Run = Callable[[], tuple[Verdict, RunStats]]
+
+
+def _child_run(conn, run: Run) -> None:
     try:
-        verdict, stats = _run_file(path, Heuristic(heuristic_name), limits)
+        verdict, stats = run()
         conn.send(("ok", verdict, stats))
-    except Exception as exc:  # reported as an UNKNOWN row by the parent
+    except Exception as exc:  # re-raised in the parent as RuntimeError
+        log.debug("run failed", exc_info=True)
         conn.send(("error", str(exc), None))
     finally:
         conn.close()
 
 
-def _run_with_timeout(
-    path: str, heuristic: Heuristic, limits: Limits, timeout: float
-) -> tuple[Verdict, RunStats]:
+def _run_with_timeout(run: Run, timeout: float) -> tuple[Verdict, RunStats]:
+    """Call ``run`` in a forked child; UNKNOWN(timeout) if no result arrives
+    within ``timeout`` seconds.
+
+    The result is read before the child is joined: a result larger than the
+    pipe buffer keeps the child blocked in ``send`` until the parent reads it.
+    """
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_child_run, args=(child_conn, path, heuristic.value, limits)
-    )
+    proc = ctx.Process(target=_child_run, args=(child_conn, run))
     proc.start()
     child_conn.close()
-    proc.join(timeout)
-    if proc.is_alive():
-        proc.terminate()
-        proc.join()
-        return Verdict("UNKNOWN", reason="timeout"), RunStats()
-    if parent_conn.poll():
-        status, payload, stats = parent_conn.recv()
-        if status == "ok":
-            return payload, stats
-        raise RuntimeError(payload)
-    raise RuntimeError("verification process died without a result")
+    with parent_conn:
+        if not parent_conn.poll(timeout):
+            proc.terminate()
+            proc.join()
+            return Verdict("UNKNOWN", reason="timeout"), RunStats()
+        try:
+            status, payload, stats = parent_conn.recv()
+        except EOFError:
+            raise RuntimeError("verification process died without a result") from None
+        finally:
+            proc.join()
+    if status == "ok":
+        return payload, stats
+    raise RuntimeError(payload)
 
 
 # --- verify -------------------------------------------------------------------
@@ -112,16 +122,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 3
     if args.emit_cfa:
         FsPath(args.emit_cfa).write_text(cfa_to_dot(cfa), encoding="utf-8")
-    if args.timeout is not None:
-        try:
+    try:
+        if args.timeout is not None:
             verdict, stats = _run_with_timeout(
-                args.file, heuristic, limits, args.timeout
+                lambda: cegar(cfa, heuristic, limits), args.timeout
             )
-        except RuntimeError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 3
-    else:
-        verdict, stats = cegar(cfa, heuristic, limits)
+        else:
+            verdict, stats = cegar(cfa, heuristic, limits)
+    except Exception as exc:
+        log.debug("verification failed", exc_info=True)
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 4
     if args.format == "json":
         print(json.dumps(_stats_json(verdict, heuristic, stats)))
     else:
@@ -160,7 +171,9 @@ def _bench_one(
 ) -> dict:
     try:
         if timeout is not None:
-            verdict, stats = _run_with_timeout(str(task), heuristic, limits, timeout)
+            verdict, stats = _run_with_timeout(
+                lambda: _run_file(str(task), heuristic, limits), timeout
+            )
         else:
             verdict, stats = _run_file(str(task), heuristic, limits)
     except Exception as exc:

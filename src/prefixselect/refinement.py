@@ -1,10 +1,11 @@
 """Precision refinement from infeasible error paths.
 
-Two strategies: classic inductive interpolation over the whole path, and
-selection-based refinement that extracts all infeasible sliced prefixes,
-interpolates each independently, and picks one by a heuristic.  The
-domain-type heuristic scores interpolant sequences by how expensive their
-variables are to track (booleans cheap, loop counters dear).
+Both strategies run the same inductive interpolation and differ only in the
+path they hand it: the classic heuristic interpolates the whole error path,
+while selection extracts all infeasible sliced prefixes, interpolates each
+independently, and picks one by a heuristic.  The domain-type heuristic
+scores interpolant sequences by how expensive their variables are to track
+(booleans cheap, loop counters dear).
 """
 
 from __future__ import annotations
@@ -22,18 +23,13 @@ from .lang import (
     Assume,
     BinaryOp,
     Comparison,
-    Expr,
     IntLit,
     Pred,
     VarRef,
+    expr_variables,
     pred_variables,
 )
-from .interpolation import (
-    InterpolantSequence,
-    interpolant_sequence,
-    interpolate,
-    interpolant_to_constraints,
-)
+from .interpolation import InterpolantSequence, interpolant_sequence
 from .paths import (
     FeasiblePathError,
     Path,
@@ -129,23 +125,17 @@ def _direct_comparisons(p: Pred):
                     if isinstance(side, VarRef):
                         yield side.name, other
                     else:
-                        for x in _expr_vars(side):
+                        for x in expr_variables(side):
                             yield x, None
             else:
                 for side in (node.left, node.right):
-                    for x in _expr_vars(side):
+                    for x in expr_variables(side):
                         yield x, None
         elif hasattr(node, "left"):
             stack.append(node.left)
             stack.append(node.right)
         elif hasattr(node, "operand"):
             stack.append(node.operand)
-
-
-def _expr_vars(e: Expr):
-    from .lang import expr_variables
-
-    return expr_variables(e)
 
 
 def classify_domain_types(cfa: ControlFlowAutomaton) -> dict[str, DomainType]:
@@ -273,30 +263,14 @@ class RefinementResult:
     interpolation_calls: int
 
 
-def refine_classic(path: Path, var_order: Sequence[str]) -> RefinementResult:
-    """Inductive interpolation along the whole path; precision per location.
-
-    Once the interpolant turns Bottom the path is already refuted and the
-    remaining locations keep their empty precision.
-    """
-    if is_feasible(path):
-        raise FeasiblePathError("refinement requires an infeasible path")
-    ops = path.ops
-    locations = path.locations
-    gamma: AbstractAssignment = TOP
+def _precision_of(seq: InterpolantSequence) -> Precision:
+    """Per-location union of the variables each interpolant references."""
     tracked: dict[int, frozenset[str]] = {}
-    calls = 0
-    for i in range(len(ops) - 1):
-        gamma_minus = interpolant_to_constraints(gamma, var_order) + (ops[i],)
-        gamma = interpolate(gamma_minus, ops[i + 1 :])
-        calls += 1
-        if gamma is BOTTOM:
-            break
+    for _, loc, gamma in seq.entries:
         names = extract_precision(gamma)
         if names:
-            loc = locations[i]
             tracked[loc] = tracked.get(loc, frozenset()) | names
-    return RefinementResult(Precision(tracked), 0, None, None, calls)
+    return Precision(tracked)
 
 
 def refine_selecting(
@@ -309,13 +283,14 @@ def refine_selecting(
 
     Interpolant sequences are computed for every prefix before choosing, even
     for heuristics that ignore them, so interpolation effort is comparable
-    across heuristics.  With the classic heuristic this degenerates to
-    refine_classic on the original path.
+    across heuristics.  The classic heuristic skips selection and interpolates
+    the whole path.  Raises FeasiblePathError on a feasible path.
     """
     if heuristic is Heuristic.CLASSIC:
-        return refine_classic(path, var_order)
-    if is_feasible(path):
-        raise FeasiblePathError("refinement requires an infeasible path")
+        if is_feasible(path):
+            raise FeasiblePathError("refinement requires an infeasible path")
+        seq, calls = interpolant_sequence(path, var_order)
+        return RefinementResult(_precision_of(seq), 0, None, None, calls)
     prefixes = extract_sliced_prefixes(path)
     sequences = []
     calls = 0
@@ -325,13 +300,8 @@ def refine_selecting(
         calls += n
     chosen = choose_sliced_prefix(prefixes, sequences, heuristic, table)
     score = score_interpolant_sequence(sequences[chosen], table)
-    tracked: dict[int, frozenset[str]] = {}
-    for _, loc, gamma in sequences[chosen].entries:
-        names = extract_precision(gamma)
-        if names:
-            tracked[loc] = tracked.get(loc, frozenset()) | names
     return RefinementResult(
-        Precision(tracked), len(prefixes), chosen, score, calls
+        _precision_of(sequences[chosen]), len(prefixes), chosen, score, calls
     )
 
 

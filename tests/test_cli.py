@@ -116,6 +116,30 @@ class TestVerify:
         assert code == 2
         assert "RESULT: UNKNOWN(timeout)" in out
 
+    def test_timeout_large_result_not_lost(self, tmp_path, capsys):
+        # the pickled result (witness of 3000 steps) exceeds the pipe buffer,
+        # so the child can only exit once the parent has read it
+        p = tmp_path / "long.imp"
+        body = " ".join("x := %d;" % i for i in range(1, 3000))
+        p.write_text(
+            "var x; x := 0; %s if (x == 2999) { error; }" % body, encoding="utf-8"
+        )
+        code = main(["verify", str(p), "--timeout", "20"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.rstrip().splitlines()[-1] == "RESULT: FALSE"
+
+    @pytest.mark.parametrize("extra", [[], ["--timeout", "20"]])
+    def test_crash_exit_four(self, tmp_path, capsys, extra):
+        # evaluating a 3000-term sum exhausts the recursion limit
+        p = tmp_path / "deep.imp"
+        p.write_text("var x; x := %s;" % " + ".join(["1"] * 3000), encoding="utf-8")
+        code = main(["verify", str(p)] + extra)
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "internal error:" in captured.err
+        assert "RESULT" not in captured.out
+
 
 @pytest.fixture
 def bench_dir(tmp_path):

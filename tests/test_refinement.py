@@ -20,7 +20,6 @@ from prefixselect.refinement import (
     choose_sliced_prefix,
     classify_domain_types,
     extract_precision,
-    refine_classic,
     refine_selecting,
     score_interpolant_sequence,
 )
@@ -55,7 +54,7 @@ class TestExtractPrecision:
 class TestRefineClassic:
     def test_two_step_path(self):
         path = mkpath((assign("x", 0), 1), (assume_cmp("x", ">", 0), 2))
-        result = refine_classic(path, ["x"])
+        result = refine_selecting(path, Heuristic.CLASSIC, {}, ["x"])
         assert result.precision.at(1) == {"x"}
         assert result.precision.at(2) == frozenset()
 
@@ -65,19 +64,21 @@ class TestRefineClassic:
             (assign("i", 0), 2),
             (assume_cmp("b", "==", 0), 3),
         )
-        result = refine_classic(path, ["b", "i"])
+        result = refine_selecting(path, Heuristic.CLASSIC, {}, ["b", "i"])
         assert result.precision.at(1) == {"b"}
         assert result.precision.at(2) == {"b"}
 
     def test_feasible_input_is_contract_error(self):
         with pytest.raises(FeasiblePathError):
-            refine_classic(mkpath((assign("x", 0), 1)), ["x"])
+            refine_selecting(
+                mkpath((assign("x", 0), 1)), Heuristic.CLASSIC, {}, ["x"]
+            )
 
     def test_family_path_tracks_loop_counter(self):
         # interpolating the whole first error path of the family program
         # pulls the loop counter into the precision: the bad outcome
         cfa, path = first_spurious_path(fig2_program(10), Heuristic.CLASSIC)
-        result = refine_classic(path, cfa.variables)
+        result = refine_selecting(path, Heuristic.CLASSIC, {}, cfa.variables)
         tracked = set()
         for loc in cfa.locations:
             tracked |= result.precision.at(loc)
@@ -198,9 +199,16 @@ class TestRefineSelecting:
     def test_classic_heuristic_bypasses_selection(self):
         table = {"x": DomainType.INTEGER_OTHER, "y": DomainType.INTEGER_OTHER}
         selecting = refine_selecting(TWO_REASONS, Heuristic.CLASSIC, table, ["x", "y"])
-        classic = refine_classic(TWO_REASONS, ["x", "y"])
-        assert selecting.precision == classic.precision
+        seq, calls = interpolant_sequence(TWO_REASONS, ["x", "y"])
+        tracked = {}
+        for _, loc, gamma in seq.entries:
+            names = extract_precision(gamma)
+            if names:
+                tracked[loc] = tracked.get(loc, frozenset()) | names
+        assert selecting.precision == Precision(tracked)
+        assert selecting.interpolation_calls == calls
         assert selecting.prefix_count == 0
+        assert selecting.chosen_index is None
 
     def test_single_prefix_matches_classic(self, spurious_sample):
         # a sliced prefix has exactly one contradiction, at its final assume,
@@ -214,7 +222,7 @@ class TestRefineSelecting:
             selecting = refine_selecting(
                 single, Heuristic.DOMAIN_TYPE, table, variables
             )
-            classic = refine_classic(single, variables)
+            classic = refine_selecting(single, Heuristic.CLASSIC, table, variables)
             assert selecting.precision == classic.precision
             checked += 1
             if checked >= 10:
