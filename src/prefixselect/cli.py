@@ -1,7 +1,9 @@
 """Command-line interface: verify, bench, gen.
 
 Exit codes for ``verify``: 0 TRUE, 1 FALSE, 2 UNKNOWN, 3 input error, 4
-internal error (the checker crashed; there is no verdict).  Bench output is
+internal error (the checker crashed; there is no verdict).  A usage error
+(unknown option or choice, bad or non-positive ``--timeout``, missing
+argument) exits 3 for every subcommand, never 2.  Bench output is
 deterministic by default; measured durations go into the CSV only with
 --timings, because wall-clock noise would break byte-stable output (the JSON
 stats from ``verify`` always carry real durations).
@@ -121,7 +123,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     if args.emit_cfa:
-        FsPath(args.emit_cfa).write_text(cfa_to_dot(cfa), encoding="utf-8")
+        try:
+            FsPath(args.emit_cfa).write_text(cfa_to_dot(cfa), encoding="utf-8")
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 3
     try:
         if args.timeout is not None:
             verdict, stats = _run_with_timeout(
@@ -313,8 +319,27 @@ def cmd_gen_random(args: argparse.Namespace) -> int:
 # --- entry --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (input error); argparse's own 2 is UNKNOWN's code.
+    Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, "%s: error: %s\n" % (self.prog, message))
+
+
+def _timeout_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a number: %r" % text) from None
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError("must be a positive number of seconds: %r" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prefixselect",
         description="CEGAR model checker with sliced-prefix refinement selection",
     )
@@ -327,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--max-refinements", type=int, default=200)
     verify.add_argument("--max-states", type=int, default=1_000_000)
-    verify.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    verify.add_argument("--timeout", type=_timeout_seconds, default=None, metavar="SECONDS")
     verify.add_argument("--format", choices=["human", "json"], default="human")
     verify.add_argument("--emit-cfa", metavar="OUT.DOT", default=None)
     verify.add_argument("--stats", action="store_true", help="per-refinement detail")
@@ -344,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--max-refinements", type=int, default=200)
     bench.add_argument("--max-states", type=int, default=1_000_000)
-    bench.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    bench.add_argument("--timeout", type=_timeout_seconds, default=None, metavar="SECONDS")
     bench.add_argument(
         "--timings",
         action="store_true",

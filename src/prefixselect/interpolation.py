@@ -6,6 +6,13 @@ engine is deliberately a fixed black box: variables not shared by both sides
 are dropped, then the rest are greedily eliminated in lexicographic order.
 The caller cannot steer it; refinement quality has to come from choosing the
 interpolation problem, not from tuning this engine.
+
+An interpolant sequence replays every suffix of its path many times: once for
+the contract check and once per elimination trial, at each cut.  Those
+replays share one memo per path (``paths.SuffixReplay``), and the variable set
+of each suffix is computed once, so a sequence costs time linear in the path
+length instead of quadratic.  The memo only answers the strongest post the
+plain replay would compute; the engine itself is unchanged.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .lang import Assume, Comparison, IntLit, Operation, VarRef, op_variables
-from .paths import Path, sp_seq
+from .paths import Path, Suffix, SuffixReplay, sp_seq
 from .values import BOTTOM, TOP, AbstractAssignment, Assignment, implies
 
 
@@ -38,20 +45,25 @@ def interpolate(
     Guarantees: (1) gamma_minus implies the result, (2) the result still
     contradicts gamma_plus, (3) the result only mentions variables occurring
     syntactically in both sequences.  Deterministic: fixed elimination order.
+
+    ``gamma_plus`` may be a ``paths.Suffix``; its replays then go through the
+    memo of the path it views.
     """
-    if sp_seq(tuple(gamma_minus) + tuple(gamma_plus)) is not BOTTOM:
-        raise InterpolationError("constraint sequences are not contradicting")
+    if not isinstance(gamma_plus, Suffix):
+        gamma_plus = Suffix(SuffixReplay(gamma_plus), 0)
     v = sp_seq(gamma_minus)
+    if gamma_plus.sp_seq(v) is not BOTTOM:
+        raise InterpolationError("constraint sequences are not contradicting")
     if v is BOTTOM:
         return BOTTOM
-    shared = seq_variables(gamma_minus) & seq_variables(gamma_plus)
+    shared = seq_variables(gamma_minus) & gamma_plus.variables
     kept = {x: c for x, c in v.items() if x in shared}
     # dropping variables gamma_plus never reads cannot lose the contradiction
-    assert sp_seq(gamma_plus, Assignment(kept)) is BOTTOM
+    assert gamma_plus.sp_seq(Assignment(kept)) is BOTTOM
     for x in sorted(kept):
         trial = dict(kept)
         del trial[x]
-        if sp_seq(gamma_plus, Assignment(trial)) is BOTTOM:
+        if gamma_plus.sp_seq(Assignment(trial)) is BOTTOM:
             kept = trial
     return Assignment(kept)
 
@@ -97,15 +109,23 @@ def interpolant_sequence(
     next operation against the remaining suffix.  Returns the sequence and the
     number of interpolation calls made.  Stops early if the interpolant turns
     Bottom (the path is refuted before its last operation).
+
+    Every cut hands ``interpolate`` a view of the same ``SuffixReplay``, so
+    suffix replays are memoised per path and each suffix's variables are
+    computed once: the cost is linear in path length.  The black box is the
+    same (same shared-variable filter, same lexicographic elimination order),
+    hence the interpolants are the same as interpolating each cut on its own.
+    The memo is freed when this call returns.
     """
-    ops = path.ops
+    replay = SuffixReplay(path.ops)
+    ops = replay.ops
     locations = path.locations
     gamma: AbstractAssignment = TOP
     entries = []
     calls = 0
     for i in range(len(ops) - 1):
         gamma_minus = interpolant_to_constraints(gamma, var_order) + (ops[i],)
-        gamma = interpolate(gamma_minus, ops[i + 1 :])
+        gamma = interpolate(gamma_minus, Suffix(replay, i + 1))
         calls += 1
         entries.append((i, locations[i], gamma))
         if gamma is BOTTOM:

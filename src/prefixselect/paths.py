@@ -4,6 +4,9 @@ A path is a sequence of (operation, location) pairs.  An infeasible path has
 one or more contradicting assume operations; each gives rise to one infeasible
 sliced prefix, extracted in a single forward sweep that keeps the running
 prefix feasible by replacing contradicting assumes with no-ops.
+
+``SuffixReplay`` memoises the strongest post of every suffix of one path, for
+inductive interpolation, which replays each suffix many times.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .lang import NOOP, Assume, Operation, render_op
-from .values import BOTTOM, TOP, AbstractAssignment, sp
+from .lang import NOOP, Assume, Operation, op_variables, render_op
+from .values import BOTTOM, TOP, AbstractAssignment, Assignment, sp
 
 
 class FeasiblePathError(ValueError):
@@ -68,6 +71,77 @@ def sp_seq(
         if v is BOTTOM:
             return BOTTOM
     return v
+
+
+class SuffixReplay:
+    """Memoised ``sp_seq`` over every suffix of one operation sequence.
+
+    The variable set of each suffix is computed once, right to left.  A walk
+    from ``(pos, v)`` stores its result under every (position, assignment) it
+    passed once it ends in Bottom, at the end of the sequence, or at a pair
+    already stored, so later walks that reach a visited state stop there.
+    The memo lives as long as the replay; keep one per path, not longer.
+    """
+
+    __slots__ = ("ops", "variables", "_memo")
+
+    def __init__(self, ops: Sequence[Operation]):
+        self.ops = tuple(ops)
+        # variables[pos] holds the variables of ops[pos:]
+        suffix_vars: frozenset[str] = frozenset()
+        variables = [suffix_vars]
+        for op in reversed(self.ops):
+            own = op_variables(op)
+            if not own <= suffix_vars:
+                suffix_vars = suffix_vars | own
+            variables.append(suffix_vars)
+        variables.reverse()
+        self.variables = variables
+        self._memo: dict[tuple[int, Assignment], AbstractAssignment] = {}
+
+    def sp_from(self, pos: int, v: AbstractAssignment) -> AbstractAssignment:
+        """``sp_seq(self.ops[pos:], v)``, through the memo."""
+        ops, memo = self.ops, self._memo
+        trail = []
+        while v is not BOTTOM and pos < len(ops):
+            key = (pos, v)
+            hit = memo.get(key)
+            if hit is not None:
+                v = hit
+                break
+            trail.append(key)
+            v = sp(ops[pos], v)
+            pos += 1
+        for key in trail:
+            memo[key] = v
+        return v
+
+
+class Suffix(Sequence[Operation]):
+    """The operations ``replay.ops[pos:]`` as a sequence, without copying;
+    ``variables`` and ``sp_seq`` answer from the replay."""
+
+    __slots__ = ("replay", "pos")
+
+    def __init__(self, replay: SuffixReplay, pos: int):
+        self.replay = replay
+        self.pos = pos
+
+    def __len__(self) -> int:
+        return len(self.replay.ops) - self.pos
+
+    def __getitem__(self, index):
+        positions = range(self.pos, len(self.replay.ops))[index]
+        if isinstance(positions, range):
+            return tuple(self.replay.ops[p] for p in positions)
+        return self.replay.ops[positions]
+
+    @property
+    def variables(self) -> frozenset[str]:
+        return self.replay.variables[self.pos]
+
+    def sp_seq(self, v0: AbstractAssignment = TOP) -> AbstractAssignment:
+        return self.replay.sp_from(self.pos, v0)
 
 
 def sp_path(path: Path, v0: AbstractAssignment = TOP) -> AbstractAssignment:

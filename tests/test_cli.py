@@ -106,6 +106,15 @@ class TestVerify:
         assert text.startswith("digraph cfa {")
         assert "peripheries=2" in text
 
+    def test_emit_cfa_unwritable_exit_three(self, safe_file, tmp_path, capsys):
+        code = main(
+            ["verify", str(safe_file), "--emit-cfa", str(tmp_path / "missing" / "out.dot")]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error:")
+        assert "RESULT" not in captured.out
+
     def test_timeout_unknown(self, tmp_path, capsys):
         p = tmp_path / "slow.imp"
         p.write_text(fig2_program(100_000), encoding="utf-8")
@@ -139,6 +148,40 @@ class TestVerify:
         assert code == 4
         assert "internal error:" in captured.err
         assert "RESULT" not in captured.out
+
+
+class TestUsageErrors:
+    """argparse's own exit code 2 would read as UNKNOWN; usage errors exit 3."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "{file}", "--heuristic", "mystery"],
+            ["verify", "{file}", "--timeout", "soon"],
+            ["verify", "{file}", "--timeout", "-1"],
+            ["verify", "{file}", "--timeout", "0"],
+            ["verify"],
+            ["bench", "{dir}", "--timeout", "soon"],
+            ["bench", "{dir}", "--timeout", "-1"],
+            ["bench", "{dir}", "--timeout", "0"],
+            ["bench"],
+        ],
+    )
+    def test_exit_three(self, argv, safe_file, capsys):
+        argv = [a.format(file=safe_file, dir=safe_file.parent) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 3
+        assert "error:" in captured.err
+        assert "RESULT" not in captured.out
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["bench", "--help"]])
+    def test_help_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 @pytest.fixture

@@ -3,7 +3,12 @@ from __future__ import annotations
 import pytest
 
 from conftest import assign, assign_expr, assume_cmp
+from prefixselect import paths
+from prefixselect.engine import extract_error_path, reach
+from prefixselect.frontend import load_cfa
+from prefixselect.generators import fig2_program
 from prefixselect.interpolation import (
+    InterpolantSequence,
     InterpolationError,
     check_interpolant,
     interpolant_sequence,
@@ -12,8 +17,26 @@ from prefixselect.interpolation import (
     seq_variables,
 )
 from prefixselect.lang import Assume, Comparison, IntLit, VarRef
-from prefixselect.paths import extract_sliced_prefixes, sp_seq
+from prefixselect.paths import Path, extract_sliced_prefixes, sp_seq
+from prefixselect.refinement import Precision
 from prefixselect.values import BOTTOM, TOP, Assignment
+
+
+def reference_sequence(path, var_order):
+    """Inductive interpolation with one independent ``interpolate`` call per
+    cut on a plain slice of the path, each checked against the contract."""
+    ops = path.ops
+    gamma = TOP
+    entries = []
+    for i in range(len(ops) - 1):
+        gamma_minus = interpolant_to_constraints(gamma, var_order) + (ops[i],)
+        gamma_plus = ops[i + 1 :]
+        gamma = interpolate(gamma_minus, gamma_plus)
+        assert check_interpolant(gamma, gamma_minus, gamma_plus)
+        entries.append((i, path.locations[i], gamma))
+        if gamma is BOTTOM:
+            break
+    return InterpolantSequence(tuple(entries)), len(entries)
 
 
 class TestInterpolate:
@@ -121,9 +144,47 @@ class TestSequences:
                     minus, plus = full_ops[: pos + 1], full_ops[pos + 1 :]
                     assert check_interpolant(gamma, minus, plus)
 
-    def test_variables_union(self):
-        from prefixselect.paths import Path
+    def test_matches_reference_loop(self, spurious_sample):
+        # one memoised replay shared by all cuts gives what interpolating each
+        # cut on its own gives, on whole error paths and on sliced prefixes
+        checked = 0
+        for path, _, variables in spurious_sample:
+            for p in [path] + [prefix.path for prefix in extract_sliced_prefixes(path)]:
+                assert interpolant_sequence(p, variables) == reference_sequence(p, variables)
+                checked += 1
+        assert checked > len(spurious_sample)
 
+    def test_feasible_path_is_contract_error(self):
+        path = Path(((assign("x", 1), 1), (assume_cmp("x", "==", 1), 2), (assign("y", 0), 3)))
+        with pytest.raises(InterpolationError, match="not contradicting"):
+            interpolant_sequence(path, ["x", "y"])
+
+    def test_sp_calls_grow_linearly(self, monkeypatch):
+        # the first sliced prefix of the fig2 error path with i tracked
+        # everywhere unrolls the loop; doubling N must about double the
+        # strongest-post calls (a per-cut replay of the suffix quadruples them)
+        def sp_calls(n):
+            cfa = load_cfa(fig2_program(n))
+            precision = Precision({loc: frozenset({"i"}) for loc in cfa.locations})
+            reached, hit = reach(cfa, precision, 100_000)
+            assert hit
+            prefix = extract_sliced_prefixes(extract_error_path(reached))[0]
+            calls = 0
+            sp = paths.sp
+
+            def counted(op, v):
+                nonlocal calls
+                calls += 1
+                return sp(op, v)
+
+            with monkeypatch.context() as m:
+                m.setattr(paths, "sp", counted)
+                interpolant_sequence(prefix.path, cfa.variables)
+            return calls
+
+        assert sp_calls(200) <= 2.2 * sp_calls(100)
+
+    def test_variables_union(self):
         path = Path(
             (
                 (assign("b", 1), 1),

@@ -3,10 +3,12 @@ from __future__ import annotations
 import pytest
 
 from conftest import assign, assume_cmp, mkpath
-from prefixselect.lang import NOOP, Assume, AssignNondet, is_noop
+from prefixselect.lang import NOOP, Assume, AssignNondet, is_noop, op_variables
 from prefixselect.paths import (
     FeasiblePathError,
     Path,
+    Suffix,
+    SuffixReplay,
     extract_sliced_prefixes,
     is_feasible,
     render_path,
@@ -38,6 +40,32 @@ class TestSpPath:
     def test_empty_fold(self):
         v = Assignment({"x": 3})
         assert sp_path(mkpath(), v) == v
+
+
+class TestSuffixReplay:
+    def test_matches_plain_replay(self, spurious_sample):
+        # every suffix view reads, and replays, like the plain slice it stands
+        # for, before and after the memo has been filled
+        for path, _, _ in spurious_sample[:30]:
+            ops = path.ops
+            replay = SuffixReplay(ops)
+            for _ in range(2):
+                for pos in range(len(ops) + 1):
+                    suffix = Suffix(replay, pos)
+                    assert tuple(suffix) == ops[pos:] and len(suffix) == len(ops) - pos
+                    assert suffix[1:3] == ops[pos:][1:3]
+                    assert suffix.variables == set().union(*map(op_variables, ops[pos:]))
+                    for v in (TOP, sp_seq(ops[:pos])):
+                        assert suffix.sp_seq(v) == sp_seq(ops[pos:], v)
+
+    def test_bottom_start_and_negative_index(self):
+        ops = (assign("x", 0), assume_cmp("x", ">", 0))
+        suffix = Suffix(SuffixReplay(ops), 0)
+        assert suffix.sp_seq(BOTTOM) is BOTTOM
+        assert suffix.sp_seq(TOP) is BOTTOM
+        assert suffix[-1] == ops[-1]
+        with pytest.raises(IndexError):
+            suffix[2]
 
 
 class TestFeasibility:
