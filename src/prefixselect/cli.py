@@ -2,11 +2,11 @@
 
 Exit codes for ``verify``: 0 TRUE, 1 FALSE, 2 UNKNOWN, 3 input error, 4
 internal error (the checker crashed; there is no verdict).  A usage error
-(unknown option or choice, bad or non-positive ``--timeout``, missing
-argument) exits 3 for every subcommand, never 2.  Bench output is
-deterministic by default; measured durations go into the CSV only with
---timings, because wall-clock noise would break byte-stable output (the JSON
-stats from ``verify`` always carry real durations).
+(unknown option or choice, a ``--timeout`` that is not a number of seconds
+in (0, 1e6], missing argument) exits 3 for every subcommand, never 2.  Bench
+output is deterministic by default; measured durations go into the CSV only
+with --timings, because wall-clock noise would break byte-stable output (the
+JSON stats from ``verify`` always carry real durations).
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def run_bench(
 ) -> list[dict]:
     """Run every (task, heuristic) pair; rows come back in deterministic
     (task, heuristic) order regardless of completion order."""
-    tasks = sorted(FsPath(directory).glob("*.imp"))
+    tasks = sorted(p for p in FsPath(directory).glob("*.imp") if p.is_file())
     pairs = [(t, h) for t in tasks for h in heuristics]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -328,13 +328,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, "%s: error: %s\n" % (self.prog, message))
 
 
+#: Longest ``--timeout``.  ``Connection.poll`` waits in whole milliseconds
+#: held in a C int, so it overflows past about 24.8 days (and on ``inf``).
+MAX_TIMEOUT_S = 1e6
+
+
 def _timeout_seconds(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError("not a number: %r" % text) from None
-    if not value > 0:  # also rejects nan
-        raise argparse.ArgumentTypeError("must be a positive number of seconds: %r" % text)
+    if not 0 < value <= MAX_TIMEOUT_S:  # also rejects nan and inf
+        raise argparse.ArgumentTypeError(
+            "must be a positive number of seconds up to %g: %r" % (MAX_TIMEOUT_S, text)
+        )
     return value
 
 

@@ -12,7 +12,8 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Callable, Mapping, Optional
 
 from .frontend import ControlFlowAutomaton
 from .paths import Path, is_feasible
@@ -73,33 +74,51 @@ class ReachedSet:
     """States indexed by location, plus the FIFO frontier.
 
     Coverage is implication against an existing state at the same location,
-    which for assignments is the subset relation on binding sets; it is
-    checked by enumerating the (at most 2^|def|) sub-binding-sets and probing
-    a hash set, so adding a state is near-constant time.
+    which for assignments is the subset relation on binding sets.  The stored
+    assignments of a location are grouped by domain (the frozenset of bound
+    names); a stored assignment with domain D is implied by ``value`` exactly
+    when D is a subset of def(value) and ``value`` projected onto D equals it,
+    because an assignment binds each name once.  A probe therefore costs one
+    subset test and at most one hash lookup per domain at the location,
+    O(#domains x |def|).
     """
 
     def __init__(self):
-        self.by_loc: dict[int, set[frozenset]] = {}
+        # loc -> domain -> (projection onto the domain, projected values stored)
+        self.by_loc: dict[int, dict[frozenset[str], tuple[Callable, set]]] = {}
         self.waitlist: deque[State] = deque()
         self.error_state: Optional[State] = None
         self.size = 0
 
     def covered(self, loc: int, value: Assignment) -> bool:
-        existing = self.by_loc.get(loc)
-        if not existing:
+        domains = self.by_loc.get(loc)
+        if not domains:
             return False
-        items = sorted(value.items_set)
-        n = len(items)
-        for mask in range(1 << n):
-            subset = frozenset(items[k] for k in range(n) if mask >> k & 1)
-            if subset in existing:
+        bindings = value.bindings
+        names = bindings.keys()
+        for domain, (project, stored) in domains.items():
+            if names >= domain and project(bindings) in stored:
                 return True
         return False
 
     def add(self, state: State) -> None:
-        self.by_loc.setdefault(state.loc, set()).add(state.value.items_set)
+        bindings = state.value.bindings
+        domains = self.by_loc.setdefault(state.loc, {})
+        domain = frozenset(bindings)
+        entry = domains.get(domain)
+        if entry is None:
+            entry = domains[domain] = (_projection(domain), set())
+        entry[1].add(entry[0](bindings))
         self.waitlist.append(state)
         self.size += 1
+
+
+def _projection(domain: frozenset[str]) -> Callable[[Mapping[str, int]], object]:
+    """Key of the values a binding map gives ``domain``'s names: one value for
+    one name, a tuple in sorted name order for more."""
+    if not domain:
+        return lambda bindings: ()
+    return itemgetter(*sorted(domain))
 
 
 class StateLimitReached(Exception):

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
-
-import networkx as nx
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .frontend import ControlFlowAutomaton
 from .lang import (
@@ -138,6 +136,52 @@ def _direct_comparisons(p: Pred):
             stack.append(node.operand)
 
 
+def _strongly_connected_components(succ: Mapping[int, Iterable[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph whose nodes are ``succ``'s
+    keys.  Tarjan's algorithm with an explicit stack, so that a long chain of
+    locations cannot exhaust the recursion limit."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    components: list[list[int]] = []
+    work: list[tuple[int, Iterable[int]]] = []  # DFS path: node, children left
+
+    def visit(node: int) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(succ[node])))
+
+    for root in succ:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    visit(child)
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
 def classify_domain_types(cfa: ControlFlowAutomaton) -> dict[str, DomainType]:
     """Classify every declared variable as boolean, loop counter, or other.
 
@@ -146,17 +190,16 @@ def classify_domain_types(cfa: ControlFlowAutomaton) -> dict[str, DomainType]:
     or copies of booleans, all predicate occurrences are ==/!= against 0/1 or
     booleans (greatest fixpoint).  Precedence: loop counter > boolean > other.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(cfa.locations)
+    succ: dict[int, set[int]] = {loc: set() for loc in cfa.locations}
     for src, _, dst in cfa.edges:
-        graph.add_edge(src, dst)
+        succ[src].add(dst)
 
     scc_of: dict[int, int] = {}
     cyclic_sccs: set[int] = set()
-    for idx, comp in enumerate(nx.strongly_connected_components(graph)):
+    for idx, comp in enumerate(_strongly_connected_components(succ)):
         for loc in comp:
             scc_of[loc] = idx
-        if len(comp) > 1 or any(graph.has_edge(l, l) for l in comp):
+        if len(comp) > 1 or any(l in succ[l] for l in comp):
             cyclic_sccs.add(idx)
 
     loop_counters: set[str] = set()

@@ -4,6 +4,11 @@ An abstract assignment is either Bottom (empty concretization) or a partial
 map from variables to arbitrary-precision integers; the empty map is Top.
 Predicates evaluate three-valued: Unknown whenever a referenced variable is
 outside the definition range.
+
+Assignments are immutable, so the transformers share them: ``sp`` and
+``restrict`` return their input when it does not change and otherwise copy
+its dict once.  Exploration and interpolation call ``sp`` millions of times,
+and most calls change no binding or one.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from typing import Iterable, Mapping, Optional, Union
 from .lang import (
     And,
     Assign,
-    AssignNondet,
     Assume,
     BinaryOp,
     BoolLit,
@@ -48,16 +52,32 @@ BOTTOM = _BottomType()
 
 
 class Assignment(Mapping[str, int]):
-    """Immutable partial map from variable names to integers."""
+    """Immutable partial map from variable names to integers.
+
+    Lookups, ``in``, ``keys`` and ``items`` go straight to the underlying
+    dict; the frozenset of bindings behind ``items_set`` and ``hash`` is built
+    on first use only, since most assignments are never hashed.
+    """
 
     __slots__ = ("_m", "_items")
 
     def __init__(self, mapping: Optional[Mapping[str, int]] = None):
         self._m = dict(mapping) if mapping else {}
-        self._items = frozenset(self._m.items())
+        self._items: Optional[frozenset[tuple[str, int]]] = None
+
+    @classmethod
+    def _own(cls, m: dict[str, int]) -> "Assignment":
+        """Wrap a fresh dict without copying it; the caller must not keep it."""
+        a = cls.__new__(cls)
+        a._m = m
+        a._items = None
+        return a
 
     def __getitem__(self, key: str) -> int:
         return self._m[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._m
 
     def __iter__(self):
         return iter(self._m)
@@ -65,24 +85,38 @@ class Assignment(Mapping[str, int]):
     def __len__(self):
         return len(self._m)
 
+    def keys(self):
+        return self._m.keys()
+
+    def items(self):
+        return self._m.items()
+
     def __eq__(self, other):
         if isinstance(other, Assignment):
             return self._m == other._m
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._items)
+        return hash(self.items_set)
 
     def __repr__(self):
         return "Assignment(%r)" % (self._m,)
 
     @property
+    def bindings(self) -> Mapping[str, int]:
+        """The underlying dict, for lookups at C speed; never mutate it."""
+        return self._m
+
+    @property
     def items_set(self) -> frozenset[tuple[str, int]]:
-        return self._items
+        items = self._items
+        if items is None:
+            items = self._items = frozenset(self._m.items())
+        return items
 
     def without(self, names: Iterable[str]) -> "Assignment":
         drop = set(names)
-        return Assignment({x: c for x, c in self._m.items() if x not in drop})
+        return Assignment._own({x: c for x, c in self._m.items() if x not in drop})
 
 
 TOP = Assignment()
@@ -101,12 +135,13 @@ def conjoin(v: AbstractAssignment, v2: AbstractAssignment) -> AbstractAssignment
     otherwise the union of the maps."""
     if v is BOTTOM or v2 is BOTTOM:
         return BOTTOM
-    for x, c in v2.items():
-        if x in v and v[x] != c:
+    m = v._m
+    for x, c in v2._m.items():
+        if x in m and m[x] != c:
             return BOTTOM
-    merged = dict(v)
-    merged.update(v2)
-    return Assignment(merged)
+    merged = dict(m)
+    merged.update(v2._m)
+    return Assignment._own(merged)
 
 
 def implies(v: AbstractAssignment, v2: AbstractAssignment) -> bool:
@@ -115,17 +150,21 @@ def implies(v: AbstractAssignment, v2: AbstractAssignment) -> bool:
         return True
     if v2 is BOTTOM:
         return False
-    return v2.items_set <= v.items_set
+    return v2._m.items() <= v._m.items()
 
 
 def restrict(v: AbstractAssignment, tracked: Iterable[str]) -> AbstractAssignment:
+    """Drop the bindings outside ``tracked``; ``v`` itself when there are none."""
     if v is BOTTOM:
         return BOTTOM
-    keep = set(tracked)
-    return Assignment({x: c for x, c in v.items() if x in keep})
+    keep = tracked if isinstance(tracked, (set, frozenset)) else set(tracked)
+    m = v._m
+    if m.keys() <= keep:
+        return v
+    return Assignment._own({x: c for x, c in m.items() if x in keep})
 
 
-def eval_expr(exp: Expr, v: Assignment) -> Optional[int]:
+def eval_expr(exp: Expr, v: Mapping[str, int]) -> Optional[int]:
     """Evaluate an expression under an assignment.
 
     Returns None (undefined) when a referenced variable is unbound or a
@@ -168,7 +207,7 @@ _CMP = {
 }
 
 
-def eval_pred(p: Pred, v: Assignment) -> ThreeValued:
+def eval_pred(p: Pred, v: Mapping[str, int]) -> ThreeValued:
     """Kleene three-valued evaluation of a predicate under an assignment."""
     if isinstance(p, BoolLit):
         return ThreeValued.TRUE if p.value else ThreeValued.FALSE
@@ -209,14 +248,14 @@ def _conjuncts(p: Pred) -> Iterable[Pred]:
         yield p
 
 
-def _forced_bindings(p: Pred, v: Assignment) -> AbstractAssignment:
+def _forced_bindings(p: Pred, v: Mapping[str, int]) -> Union[dict[str, int], _BottomType]:
     """Bindings forced by an assume, extracted from top-level conjuncts.
 
     Only syntactic equality patterns are considered: ``x == e`` or ``e == x``
     where x is unbound in v and e evaluates under v.  Conflicting forced
     bindings yield Bottom.
     """
-    bindings: AbstractAssignment = TOP
+    bindings: dict[str, int] = {}
     for c in _conjuncts(p):
         if not (isinstance(c, Comparison) and c.op == "=="):
             continue
@@ -224,27 +263,47 @@ def _forced_bindings(p: Pred, v: Assignment) -> AbstractAssignment:
             if isinstance(var_side, VarRef) and var_side.name not in v:
                 value = eval_expr(other_side, v)
                 if value is not None:
-                    bindings = conjoin(bindings, Assignment({var_side.name: value}))
+                    if bindings.setdefault(var_side.name, value) != value:
+                        return BOTTOM
                     break
     return bindings
 
 
 def sp(op: Operation, v: AbstractAssignment) -> AbstractAssignment:
-    """Strongest-post transformer of one operation."""
+    """Strongest-post transformer of one operation.
+
+    Returns ``v`` itself when the operation changes no binding, and otherwise
+    copies its dict once.
+    """
     if v is BOTTOM:
         return BOTTOM
-    if isinstance(op, Assign):
-        value = eval_expr(op.expr, v)
-        base = v.without((op.var,))
-        if value is None:
-            return base
-        return conjoin(base, Assignment({op.var: value}))
-    if isinstance(op, AssignNondet):
-        return v.without((op.var,))
-    # Assume
-    if eval_pred(op.pred, v) is ThreeValued.FALSE:
-        return BOTTOM
-    return conjoin(v, _forced_bindings(op.pred, v))
+    m = v._m
+    if isinstance(op, Assume):
+        truth = eval_pred(op.pred, m)
+        if truth is ThreeValued.FALSE:
+            return BOTTOM
+        if truth is ThreeValued.TRUE:
+            # an ``x == e`` conjunct with x unbound is Unknown, so a True
+            # assume forces no binding
+            return v
+        forced = _forced_bindings(op.pred, m)
+        if forced is BOTTOM:
+            return BOTTOM
+        if not forced:
+            return v
+        m = dict(m)
+        m.update(forced)
+        return Assignment._own(m)
+    x = op.var
+    value = eval_expr(op.expr, m) if isinstance(op, Assign) else None  # nondet unbinds
+    if m.get(x) == value:  # bound to the same value, or unbound and staying so
+        return v
+    m = dict(m)
+    if value is None:
+        del m[x]
+    else:
+        m[x] = value
+    return Assignment._own(m)
 
 
 def render_assignment(v: AbstractAssignment, var_order: Iterable[str]) -> str:

@@ -12,7 +12,7 @@ from prefixselect.cli import (
     run_bench,
 )
 from prefixselect.engine import Limits
-from prefixselect.generators import fig2_program
+from prefixselect.generators import fig2_program, generate_fig2_family
 from prefixselect.refinement import Heuristic
 
 SAFE = "var x; x := 0; if (x > 0) { error; }"
@@ -165,6 +165,11 @@ class TestUsageErrors:
             ["bench", "{dir}", "--timeout", "-1"],
             ["bench", "{dir}", "--timeout", "0"],
             ["bench"],
+            # Connection.poll overflows on these instead of waiting
+            ["verify", "{file}", "--timeout", "inf"],
+            ["verify", "{file}", "--timeout", "1e7"],
+            ["bench", "{dir}", "--timeout", "inf"],
+            ["bench", "{dir}", "--timeout", "1e7"],
         ],
     )
     def test_exit_three(self, argv, safe_file, capsys):
@@ -204,6 +209,14 @@ class TestBench:
             ("b_unsafe.imp", "domain-type"),
         ]
         assert [r["verdict"] for r in rows] == ["TRUE", "TRUE", "FALSE", "FALSE"]
+
+    def test_directory_named_like_task_skipped(self, bench_dir):
+        generate_fig2_family(10, bench_dir / "fig2_n10.imp")  # a directory
+        rows = run_bench(bench_dir, [Heuristic.CLASSIC], Limits(200, 100_000))
+        assert [(r["task"], r["verdict"]) for r in rows] == [
+            ("a_safe.imp", "TRUE"),
+            ("b_unsafe.imp", "FALSE"),
+        ]
 
     def test_csv_golden(self, bench_dir):
         heuristics = [Heuristic.CLASSIC]

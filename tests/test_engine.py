@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from prefixselect.engine import (
     Limits,
     ReachedSet,
+    State,
     StateLimitReached,
     Verdict,
     cegar,
@@ -16,7 +20,7 @@ from prefixselect.generators import fig2_program, random_program
 from prefixselect.lang import Assign, Assume, IntLit, is_noop
 from prefixselect.paths import Path, is_feasible, sp_seq
 from prefixselect.refinement import Heuristic, Precision
-from prefixselect.values import BOTTOM, TOP
+from prefixselect.values import BOTTOM, TOP, Assignment
 
 BRANCH_PROGRAM = "var x; x := 0; if (x > 0) { error; }"
 
@@ -57,7 +61,7 @@ class TestReach:
         head = inc[1]
         reached, hit = reach(cfa, Precision(), 10_000)
         assert not hit
-        assert len(reached.by_loc[head]) == 1
+        assert sum(len(stored) for _, stored in reached.by_loc[head].values()) == 1
 
     def test_state_limit(self):
         cfa = load_cfa(fig2_program(1000))
@@ -79,6 +83,45 @@ class TestReach:
         for op, nxt in path:
             assert (loc, op, nxt) in cfa.edges
             loc = nxt
+
+
+small_assignments = st.dictionaries(
+    st.sampled_from(["a", "b", "c", "d"]), st.integers(0, 2), max_size=4
+).map(Assignment)
+
+
+def brute_force_covered(stored, loc, value):
+    return any(l == loc and v.items_set <= value.items_set for l, v in stored)
+
+
+class TestCoverage:
+    @given(
+        st.lists(st.tuples(st.integers(0, 1), small_assignments), max_size=16),
+        small_assignments,
+    )
+    def test_matches_brute_force(self, stored, probe):
+        reached = ReachedSet()
+        for loc, value in stored:
+            reached.add(State(loc, value))
+        assert reached.covered(0, probe) == brute_force_covered(stored, 0, probe)
+
+    def test_wide_probe(self):
+        # enumerating the sub-binding-sets of this probe would take 2^40 lookups
+        rng = random.Random(0)
+        names = ["v%d" % k for k in range(40)]
+        stored = []
+        for _ in range(1000):
+            domain = rng.sample(names, rng.randint(1, 40))
+            stored.append((0, Assignment({x: rng.randint(0, 1) for x in domain})))
+        reached = ReachedSet()
+        for loc, value in stored:
+            reached.add(State(loc, value))
+        hit = Assignment({x: stored[-1][1].get(x, 0) for x in names})
+        miss = Assignment({x: 2 for x in names})
+        for probe, expected in ((hit, True), (miss, False)):
+            assert len(probe) == 40
+            assert brute_force_covered(stored, 0, probe) is expected
+            assert reached.covered(0, probe) is expected
 
 
 class TestCegar:

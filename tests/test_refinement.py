@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import assign, assume_cmp, mkpath
 from prefixselect.engine import cegar, extract_error_path, reach
@@ -16,6 +17,7 @@ from prefixselect.refinement import (
     DomainType,
     Heuristic,
     Precision,
+    _strongly_connected_components,
     check_refinement_progress,
     choose_sliced_prefix,
     classify_domain_types,
@@ -123,6 +125,34 @@ class TestClassify:
     def test_every_variable_classified(self):
         cfa = load_cfa("var a, b, c; a := 1;")
         assert set(classify_domain_types(cfa)) == {"a", "b", "c"}
+
+    def test_long_loop_body(self):
+        body = " ".join("x := x + %d;" % k for k in range(3000))
+        cfa = load_cfa("var i, x; i := 0; while (i < 5) { %s i := i + 1; }" % body)
+        assert classify_domain_types(cfa)["i"] is DomainType.LOOP_COUNTER
+
+
+def reachable(succ, start):
+    seen, todo = {start}, [start]
+    while todo:
+        for nxt in succ[todo.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
+
+
+graphs = st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.sets(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n)
+).map(lambda rows: dict(enumerate(rows)))
+
+
+@given(graphs)
+def test_components_are_mutual_reachability_classes(succ):
+    reach_of = {u: reachable(succ, u) for u in succ}
+    expected = {frozenset(v for v in reach_of[u] if u in reach_of[v]) for u in succ}
+    found = [frozenset(c) for c in _strongly_connected_components(succ)]
+    assert len(found) == len(set(found)) and set(found) == expected
 
 
 def seq_over(*variables):

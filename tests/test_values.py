@@ -62,11 +62,67 @@ preds = st.recursive(
     max_leaves=4,
 )
 
+equalities = st.builds(
+    lambda x, e, flip: Comparison("==", *((e, VarRef(x)) if flip else (VarRef(x), e))),
+    st.sampled_from(VARS),
+    exprs,
+    st.booleans(),
+)
+# conjunctions of equalities exercise the bindings an assume forces
+forcing_preds = st.recursive(
+    st.one_of(equalities, comparisons),
+    lambda inner: st.builds(And, inner, inner),
+    max_leaves=4,
+)
+
 operations = st.one_of(
     st.builds(Assign, st.sampled_from(VARS), exprs),
     st.sampled_from(VARS).map(AssignNondet),
     preds.map(Assume),
+    forcing_preds.map(Assume),
 )
+
+
+def _conjuncts(p):
+    if isinstance(p, And):
+        return _conjuncts(p.left) + _conjuncts(p.right)
+    return [p]
+
+
+def reference_sp(op, v):
+    """The strongest post as defined: drop the assigned variable with
+    ``without``, then ``conjoin`` the new binding or the forced ones."""
+    if v is BOTTOM:
+        return BOTTOM
+    if isinstance(op, Assign):
+        value = eval_expr(op.expr, v)
+        base = v.without((op.var,))
+        return base if value is None else conjoin(base, Assignment({op.var: value}))
+    if isinstance(op, AssignNondet):
+        return v.without((op.var,))
+    if eval_pred(op.pred, v) is ThreeValued.FALSE:
+        return BOTTOM
+    forced = TOP
+    for c in _conjuncts(op.pred):
+        if not (isinstance(c, Comparison) and c.op == "=="):
+            continue
+        for var_side, other_side in ((c.left, c.right), (c.right, c.left)):
+            if isinstance(var_side, VarRef) and var_side.name not in v:
+                value = eval_expr(other_side, v)
+                if value is not None:
+                    forced = conjoin(forced, Assignment({var_side.name: value}))
+                    break
+    return conjoin(v, forced)
+
+
+class TestAssignment:
+    @given(st.dictionaries(st.sampled_from(VARS), st.integers(-5, 5), max_size=3))
+    def test_reads_match_dict(self, m):
+        v = Assignment(m)
+        assert dict(v.items()) == m and set(v.keys()) == set(m)
+        assert all((x in v) == (x in m) for x in VARS)
+        assert v.items_set == frozenset(m.items())
+        assert hash(v) == hash(Assignment(dict(reversed(list(m.items())))))
 
 
 class TestConjoin:
@@ -187,6 +243,16 @@ class TestSp:
     def test_bottom_stays_bottom(self):
         assert sp(Assign("x", IntLit(1)), BOTTOM) is BOTTOM
 
+    @given(operations, assignments)
+    def test_matches_reference(self, op, v):
+        assert sp(op, v) == reference_sp(op, v)
+
+    @given(operations, nonbottom)
+    def test_unchanged_result_is_input(self, op, v):
+        post = sp(op, v)
+        if post == v:
+            assert post is v
+
     @given(operations, nonbottom, st.sets(st.sampled_from(VARS)))
     def test_abstraction_monotone(self, op, v, tracked):
         post = sp(op, v)
@@ -216,6 +282,13 @@ class TestRestrict:
 
     def test_bottom_stays_bottom(self):
         assert restrict(BOTTOM, set()) is BOTTOM
+
+    @given(nonbottom, st.sets(st.sampled_from(VARS)))
+    def test_matches_filter(self, v, tracked):
+        out = restrict(v, tracked)
+        assert out == Assignment({x: c for x, c in v.items() if x in tracked})
+        if set(v) <= tracked:
+            assert out is v
 
 
 class TestRendering:
