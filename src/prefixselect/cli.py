@@ -3,10 +3,12 @@
 Exit codes for ``verify``: 0 TRUE, 1 FALSE, 2 UNKNOWN, 3 input error, 4
 internal error (the checker crashed; there is no verdict).  A usage error
 (unknown option or choice, a ``--timeout`` that is not a number of seconds
-in (0, 1e6], missing argument) exits 3 for every subcommand, never 2.  Bench
-output is deterministic by default; measured durations go into the CSV only
-with --timings, because wall-clock noise would break byte-stable output (the
-JSON stats from ``verify`` always carry real durations).
+in (0, 1e6], a ``--jobs`` or ``--max-states`` below 1, a negative
+``--max-refinements``, missing argument) exits 3 for every subcommand,
+never 2.  Bench output is deterministic by default; measured durations go
+into the CSV only with --timings, because wall-clock noise would break
+byte-stable output (the JSON stats from ``verify`` always carry real
+durations).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import logging
 import multiprocessing
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path as FsPath
 from typing import Callable, Optional
@@ -65,11 +68,12 @@ def _child_run(conn, run: Run) -> None:
 
 def _run_with_timeout(run: Run, timeout: float) -> tuple[Verdict, RunStats]:
     """Call ``run`` in a forked child; UNKNOWN(timeout) if no result arrives
-    within ``timeout`` seconds.
+    within ``timeout`` seconds, with the elapsed wall time as its only stat.
 
     The result is read before the child is joined: a result larger than the
     pipe buffer keeps the child blocked in ``send`` until the parent reads it.
     """
+    start = time.perf_counter()
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_child_run, args=(child_conn, run))
@@ -77,9 +81,10 @@ def _run_with_timeout(run: Run, timeout: float) -> tuple[Verdict, RunStats]:
     child_conn.close()
     with parent_conn:
         if not parent_conn.poll(timeout):
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
             proc.terminate()
             proc.join()
-            return Verdict("UNKNOWN", reason="timeout"), RunStats()
+            return Verdict("UNKNOWN", reason="timeout"), RunStats(duration_ms=elapsed_ms)
         try:
             status, payload, stats = parent_conn.recv()
         except EOFError:
@@ -106,6 +111,7 @@ def _stats_json(verdict: Verdict, heuristic: Heuristic, stats: RunStats) -> dict
         "interpolation_calls": stats.interpolation_calls,
         "states_created": stats.states_created,
         "coverage_hits": stats.coverage_hits,
+        "states_reused": stats.states_reused,
         "chosen_prefix_indices": stats.chosen_prefix_indices,
         "chosen_prefix_scores": stats.chosen_prefix_scores,
         "duration_ms": stats.duration_ms,
@@ -148,6 +154,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("interpolation calls: %d" % stats.interpolation_calls)
         print("states created: %d" % stats.states_created)
         print("coverage hits: %d" % stats.coverage_hits)
+        print("states reused: %d" % stats.states_reused)
         print("duration: %.1f ms" % stats.duration_ms)
         if args.stats and stats.chosen_prefix_indices:
             print("chosen prefix indices: %s" % stats.chosen_prefix_indices)
@@ -345,6 +352,21 @@ def _timeout_seconds(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type for an integer option with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d: %r" % (low, text))
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="prefixselect",
@@ -357,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--heuristic", choices=HEURISTIC_NAMES, default=Heuristic.DOMAIN_TYPE.value
     )
-    verify.add_argument("--max-refinements", type=int, default=200)
-    verify.add_argument("--max-states", type=int, default=1_000_000)
+    verify.add_argument("--max-refinements", type=_int_at_least(0), default=200)
+    verify.add_argument("--max-states", type=_int_at_least(1), default=1_000_000)
     verify.add_argument("--timeout", type=_timeout_seconds, default=None, metavar="SECONDS")
     verify.add_argument("--format", choices=["human", "json"], default="human")
     verify.add_argument("--emit-cfa", metavar="OUT.DOT", default=None)
@@ -373,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated heuristic names",
     )
     bench.add_argument("--format", choices=["csv", "json"], default="csv")
-    bench.add_argument("--jobs", type=int, default=1)
-    bench.add_argument("--max-refinements", type=int, default=200)
-    bench.add_argument("--max-states", type=int, default=1_000_000)
+    bench.add_argument("--jobs", type=_int_at_least(1), default=1)
+    bench.add_argument("--max-refinements", type=_int_at_least(0), default=200)
+    bench.add_argument("--max-states", type=_int_at_least(1), default=1_000_000)
     bench.add_argument("--timeout", type=_timeout_seconds, default=None, metavar="SECONDS")
     bench.add_argument(
         "--timings",

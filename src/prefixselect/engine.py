@@ -1,9 +1,12 @@
-"""Abstract reachability and the CEGAR driver with full restart.
+"""Abstract reachability and the CEGAR driver with lazy restart.
 
 Exploration is a FIFO worklist over (location, assignment) states with
 precision-restricted strongest-post transfer and coverage by implication
 against same-location states.  On a spurious counterexample the precision is
-refined and exploration restarts from scratch.
+refined and exploration resumes from the pivot: the states whose chain from
+the root avoids every location whose tracked set grew are kept, and only the
+work the refinement invalidated is redone (lazy abstraction, Henzinger,
+Jhala, Majumdar and Sutre, POPL 2002).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Mapping, Optional
+from typing import Callable, Collection, Mapping, Optional
 
 from .frontend import ControlFlowAutomaton
 from .paths import Path, is_feasible
@@ -38,11 +41,19 @@ class Limits:
 
 @dataclass
 class RunStats:
+    """Counters of one ``cegar`` run.
+
+    ``states_created`` and ``coverage_hits`` count only new work: states a
+    refinement leaves valid are not created again, and are counted once more
+    in ``states_reused`` at every restart that keeps them.
+    """
+
     refinements: int = 0
     prefixes_total: int = 0
     interpolation_calls: int = 0
     states_created: int = 0
     coverage_hits: int = 0
+    states_reused: int = 0
     chosen_prefix_indices: list[Optional[int]] = field(default_factory=list)
     chosen_prefix_scores: list[Optional[int]] = field(default_factory=list)
     duration_ms: float = 0.0
@@ -61,13 +72,17 @@ class Verdict:
 
 
 class State:
-    __slots__ = ("loc", "value", "parent", "op_in")
+    """``dropped`` is set when the state's last expansion dropped a successor
+    as covered: its coverer may be pruned later, so the state is reopened."""
+
+    __slots__ = ("loc", "value", "parent", "op_in", "dropped")
 
     def __init__(self, loc, value, parent=None, op_in=None):
         self.loc = loc
         self.value = value
         self.parent = parent
         self.op_in = op_in
+        self.dropped = False
 
 
 class ReachedSet:
@@ -80,15 +95,20 @@ class ReachedSet:
     when D is a subset of def(value) and ``value`` projected onto D equals it,
     because an assignment binds each name once.  A probe therefore costs one
     subset test and at most one hash lookup per domain at the location,
-    O(#domains x |def|).
+    O(#domains x |def|).  ``states`` holds every stored state in creation
+    order, so a parent always precedes its children.
     """
 
     def __init__(self):
         # loc -> domain -> (projection onto the domain, projected values stored)
         self.by_loc: dict[int, dict[frozenset[str], tuple[Callable, set]]] = {}
+        self.states: list[State] = []
         self.waitlist: deque[State] = deque()
         self.error_state: Optional[State] = None
-        self.size = 0
+
+    @property
+    def size(self) -> int:
+        return len(self.states)
 
     def covered(self, loc: int, value: Assignment) -> bool:
         domains = self.by_loc.get(loc)
@@ -109,8 +129,42 @@ class ReachedSet:
         if entry is None:
             entry = domains[domain] = (_projection(domain), set())
         entry[1].add(entry[0](bindings))
+        self.states.append(state)
         self.waitlist.append(state)
-        self.size += 1
+
+    def prune(self, changed: Collection[int]) -> None:
+        """Remove the error state and every state whose chain from the root
+        enters a location in ``changed``, and drop their keys from the index.
+
+        The kept states are exactly what a fresh exploration under the grown
+        precision computes along the same chains, because their values depend
+        only on the tracked sets of unchanged locations.  The waitlist becomes,
+        in creation order, the kept states whose expansion is not complete
+        under that precision: parents of removed states, states that dropped
+        a successor as covered, and states never expanded.
+        """
+        pending = set(self.waitlist)
+        removed: set[State] = set()
+        reopened: set[State] = set()
+        kept = []
+        for state in self.states:
+            if state.loc in changed or state.parent in removed or state is self.error_state:
+                removed.add(state)
+                reopened.add(state.parent)
+                bindings = state.value.bindings
+                domains = self.by_loc[state.loc]
+                domain = frozenset(bindings)
+                project, stored = domains[domain]
+                stored.discard(project(bindings))
+                if not stored:
+                    del domains[domain]
+            else:
+                kept.append(state)
+        self.states = kept
+        self.error_state = None
+        self.waitlist = deque(
+            s for s in kept if s.dropped or s in pending or s in reopened
+        )
 
 
 def _projection(domain: frozenset[str]) -> Callable[[Mapping[str, int]], object]:
@@ -130,27 +184,35 @@ def reach(
     precision: Precision,
     max_states: int,
     stats: Optional[RunStats] = None,
+    reached: Optional[ReachedSet] = None,
 ) -> tuple[ReachedSet, bool]:
     """Explore abstract states under a precision until the error location is
     reached or the frontier empties.
 
-    Raises StateLimitReached when more than max_states states are created.
+    ``reached``, if given, is a set that ``ReachedSet.prune`` left valid under
+    ``precision``; exploration continues from its waitlist, and from a fresh
+    root only if the root was pruned.  Raises StateLimitReached when the set
+    would hold more than max_states states, kept and new together.
     """
-    reached = ReachedSet()
-    root = State(cfa.initial, TOP)
-    reached.add(root)
-    if stats is not None:
-        stats.states_created += 1
-    if cfa.error is not None and cfa.initial == cfa.error:
-        reached.error_state = root
-        return reached, True
+    if reached is None:
+        reached = ReachedSet()
+    if not reached.size:
+        root = State(cfa.initial, TOP)
+        reached.add(root)
+        if stats is not None:
+            stats.states_created += 1
+        if cfa.error is not None and cfa.initial == cfa.error:
+            reached.error_state = root
+            return reached, True
     while reached.waitlist:
         state = reached.waitlist.popleft()
+        state.dropped = False
         for op, dst in cfa.out_edges(state.loc):
             value = restrict(sp(op, state.value), precision.at(dst))
             if value is BOTTOM:
                 continue
             if reached.covered(dst, value):
+                state.dropped = True
                 if stats is not None:
                     stats.coverage_hits += 1
                 continue
@@ -189,20 +251,24 @@ def cegar(
     limits: Limits = Limits(),
     on_refinement: Optional[Callable[[Path, RefinementResult], None]] = None,
 ) -> tuple[Verdict, RunStats]:
-    """CEGAR loop with full restart after each refinement.
+    """CEGAR loop with lazy restart after each refinement.
 
     Starts from the empty precision; on each spurious counterexample the
     refinement's precision is checked to exclude that path, then unioned
-    pointwise into the running precision before the restart.
+    pointwise into the running precision.  Where a full restart would explore
+    again from the root, the reached set is pruned to the states that avoid
+    every location whose tracked set grew, and ``reach`` resumes from it; the
+    fixpoint is the same, only the exploration order differs.
     """
     stats = RunStats()
     start = time.perf_counter()
     table = classify_domain_types(cfa)
     precision = Precision()
     verdict: Optional[Verdict] = None
+    reached: Optional[ReachedSet] = None
     try:
         while True:
-            reached, hit = reach(cfa, precision, limits.max_states, stats)
+            reached, hit = reach(cfa, precision, limits.max_states, stats, reached)
             if not hit:
                 verdict = Verdict("TRUE")
                 break
@@ -220,7 +286,15 @@ def cegar(
                 )
             if on_refinement is not None:
                 on_refinement(sigma, result)
-            precision = precision.union(result.precision)
+            refined = precision.union(result.precision)
+            changed = {
+                loc
+                for loc, names in refined.tracked.items()
+                if names != precision.at(loc)
+            }
+            precision = refined
+            reached.prune(changed)
+            stats.states_reused += reached.size
             stats.refinements += 1
             stats.prefixes_total += result.prefix_count
             stats.interpolation_calls += result.interpolation_calls

@@ -424,7 +424,13 @@ def build_cfa(program: Program) -> ControlFlowAutomaton:
 
 
 def load_cfa(source: str) -> ControlFlowAutomaton:
-    return build_cfa(parse(source))
+    """Parse and build; a program nested too deeply for the recursive parser
+    or CFA builder raises ParseError, like any other input it cannot take."""
+    parser = _Parser(source)
+    try:
+        return build_cfa(parser.program())
+    except RecursionError:
+        raise parser._error("program nested too deeply") from None
 
 
 def cfa_to_dot(cfa: ControlFlowAutomaton) -> str:

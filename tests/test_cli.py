@@ -38,6 +38,7 @@ class TestVerify:
         code = main(["verify", str(safe_file)])
         out = capsys.readouterr().out
         assert code == 0
+        assert "states reused: " in out
         assert out.rstrip().splitlines()[-1] == "RESULT: TRUE"
 
     def test_unsafe_exit_one_with_witness(self, unsafe_file, capsys):
@@ -81,6 +82,7 @@ class TestVerify:
             "interpolation_calls",
             "states_created",
             "coverage_hits",
+            "states_reused",
             "chosen_prefix_indices",
             "chosen_prefix_scores",
             "duration_ms",
@@ -90,6 +92,7 @@ class TestVerify:
         assert data["heuristic"] == "domain-type"
         assert data["witness"] is None
         assert isinstance(data["duration_ms"], float)
+        assert data["refinements"] == 1 and data["states_reused"] > 0
 
     def test_json_witness_lines(self, unsafe_file, capsys):
         main(["verify", str(unsafe_file), "--format", "json"])
@@ -125,6 +128,18 @@ class TestVerify:
         assert code == 2
         assert "RESULT: UNKNOWN(timeout)" in out
 
+    def test_timeout_reports_elapsed_time(self, tmp_path, capsys):
+        p = tmp_path / "slow.imp"
+        p.write_text(fig2_program(100_000), encoding="utf-8")
+        code = main(
+            ["verify", str(p), "--heuristic", "prefix-shortest", "--timeout", "0.2",
+             "--format", "json"]
+        )
+        data = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert data["verdict"] == "UNKNOWN(timeout)"
+        assert data["duration_ms"] >= 200.0
+
     def test_timeout_large_result_not_lost(self, tmp_path, capsys):
         # the pickled result (witness of 3000 steps) exceeds the pipe buffer,
         # so the child can only exit once the parent has read it
@@ -137,6 +152,22 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 1
         assert out.rstrip().splitlines()[-1] == "RESULT: FALSE"
+
+    @pytest.mark.parametrize("extra", [[], ["--timeout", "20"]])
+    def test_deep_nesting_exit_three(self, tmp_path, capsys, extra):
+        # parsing 3000 nested parentheses exhausts the recursion limit
+        p = tmp_path / "nested.imp"
+        p.write_text("var x; x := %s1%s;" % ("(" * 3000, ")" * 3000), encoding="utf-8")
+        code = main(["verify", str(p)] + extra)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error:") and "nested too deeply" in captured.err
+        assert "RESULT" not in captured.out
+
+    def test_zero_refinements_allowed(self, safe_file, capsys):
+        code = main(["verify", str(safe_file), "--max-refinements", "0"])
+        assert code == 2
+        assert "RESULT: UNKNOWN(refinement-limit)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("extra", [[], ["--timeout", "20"]])
     def test_crash_exit_four(self, tmp_path, capsys, extra):
@@ -170,6 +201,14 @@ class TestUsageErrors:
             ["verify", "{file}", "--timeout", "1e7"],
             ["bench", "{dir}", "--timeout", "inf"],
             ["bench", "{dir}", "--timeout", "1e7"],
+            ["verify", "{file}", "--max-states", "-5"],
+            ["verify", "{file}", "--max-states", "0"],
+            ["verify", "{file}", "--max-states", "many"],
+            ["verify", "{file}", "--max-refinements", "-1"],
+            ["bench", "{dir}", "--jobs", "0"],
+            ["bench", "{dir}", "--jobs", "-2"],
+            ["bench", "{dir}", "--max-states", "0"],
+            ["bench", "{dir}", "--max-refinements", "-1"],
         ],
     )
     def test_exit_three(self, argv, safe_file, capsys):
@@ -224,7 +263,7 @@ class TestBench:
         text = format_bench_csv(rows, heuristics, timings=False)
         lines = text.splitlines()
         assert lines[0] == ",".join(BENCH_COLUMNS)
-        assert lines[1] == "a_safe.imp,classic,TRUE,1,8,2,"
+        assert lines[1] == "a_safe.imp,classic,TRUE,1,7,2,"
         assert lines[2].startswith("b_unsafe.imp,classic,FALSE,")
         assert lines[3] == "# summary"
         assert lines[4] == "# heuristic,solved,tasks,total_duration_ms"

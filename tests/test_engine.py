@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from prefixselect import engine
 from prefixselect.engine import (
     Limits,
     ReachedSet,
@@ -20,7 +21,7 @@ from prefixselect.generators import fig2_program, random_program
 from prefixselect.lang import Assign, Assume, IntLit, is_noop
 from prefixselect.paths import Path, is_feasible, sp_seq
 from prefixselect.refinement import Heuristic, Precision
-from prefixselect.values import BOTTOM, TOP, Assignment
+from prefixselect.values import BOTTOM, TOP, Assignment, restrict, sp
 
 BRANCH_PROGRAM = "var x; x := 0; if (x > 0) { error; }"
 
@@ -122,6 +123,160 @@ class TestCoverage:
             assert len(probe) == 40
             assert brute_force_covered(stored, 0, probe) is expected
             assert reached.covered(0, probe) is expected
+
+
+def chain_locations(state):
+    locs = set()
+    while state is not None:
+        locs.add(state.loc)
+        state = state.parent
+    return locs
+
+
+def indexed(reached, state):
+    """Whether the domain index holds ``state``'s own key."""
+    bindings = state.value.bindings
+    entry = reached.by_loc.get(state.loc, {}).get(frozenset(bindings))
+    return entry is not None and entry[0](bindings) in entry[1]
+
+
+def wide_flags_program(k):
+    """k nondet diamonds set f_j to 0 or 1; a guard f_j == 2 per flag
+    precedes the error.  Safe, and every flag ends up tracked."""
+    lines = ["var c, %s;" % ", ".join("f%d" % j for j in range(k))]
+    for j in range(k):
+        lines.append("c := nondet(); if (c == 0) { f%d := 0; } else { f%d := 1; }" % (j, j))
+    lines += ["if (f%d == 2) { error; }" % j for j in range(k)]
+    return "\n".join(lines)
+
+
+def traced_cegar(monkeypatch, cfa):
+    """Run domain-type cegar; return its verdict, its stats and the
+    (precision, reached set) of every reach call, in order."""
+    calls = []
+    original = engine.reach
+
+    def recording(cfa, precision, *args):
+        result = original(cfa, precision, *args)
+        calls.append((precision, result[0]))
+        return result
+
+    monkeypatch.setattr(engine, "reach", recording)
+    verdict, stats = cegar(cfa, Heuristic.DOMAIN_TYPE, Limits(200, 100_000))
+    monkeypatch.undo()
+    return verdict, stats, calls
+
+
+def safe_refined_runs(monkeypatch, count):
+    """``traced_cegar`` on the first ``count`` random programs whose verdict
+    is TRUE after at least one refinement, as (cfa, stats, calls)."""
+    out = []
+    for index in range(200):
+        cfa = load_cfa(random_program(11, index))
+        verdict, stats, calls = traced_cegar(monkeypatch, cfa)
+        if verdict.kind == "TRUE" and stats.refinements:
+            out.append((cfa, stats, calls))
+            if len(out) == count:
+                break
+    return out
+
+
+class TestLazyRestart:
+    @pytest.mark.parametrize("index", range(12))
+    def test_prune(self, index):
+        cfa = load_cfa(random_program(13, index))
+        reached, hit = reach(cfa, Precision(), 100_000)
+        assert hit
+        states = list(reached.states)
+        pending = set(reached.waitlist)
+        error = reached.error_state
+        rng = random.Random(index)
+        changed = set(rng.sample(cfa.locations, rng.randint(0, len(cfa.locations) // 3)))
+        removed = [s for s in states if s is error or chain_locations(s) & changed]
+        kept = [s for s in states if s not in removed]
+        reopened = {s.parent for s in removed}
+        requeued = [s for s in kept if s in pending or s.dropped or s in reopened]
+
+        reached.prune(changed)
+
+        assert reached.states == kept
+        assert reached.error_state is None
+        assert list(reached.waitlist) == requeued
+        assert error.parent in requeued or error.parent in removed
+        assert all(indexed(reached, s) for s in kept)
+        assert not any(indexed(reached, s) for s in removed)
+        assert sum(len(stored) for d in reached.by_loc.values() for _, stored in d.values()) == len(kept)
+
+    def test_prune_requeues_unexpanded_and_covering(self):
+        # the loop head drops its second visit as covered, and the states
+        # behind the error's parent in the FIFO are never expanded
+        cfa = load_cfa(
+            "var x, y; x := 0; y := nondet(); while (y < 3) { y := y + 1; } "
+            "if (x > 0) { error; } x := 1; x := 2;"
+        )
+        reached, hit = reach(cfa, Precision(), 1000)
+        assert hit
+        error = reached.error_state
+        dropped = [s for s in reached.states if s.dropped]
+        pending = [s for s in reached.waitlist if s is not error]
+        assert dropped and pending
+        reached.prune(set())
+        requeued = list(reached.waitlist)
+        assert error.parent in requeued
+        assert all(s in requeued for s in dropped + pending)
+
+    def test_root_pruned_starts_fresh(self):
+        cfa = load_cfa(BRANCH_PROGRAM)
+        reached, hit = reach(cfa, Precision(), 10_000)
+        assert hit
+        reached.prune(set(cfa.locations))
+        assert reached.size == 0 and not reached.waitlist and not any(reached.by_loc.values())
+        precision = full_precision(cfa, ["x"])
+        resumed, hit = reach(cfa, precision, 10_000, None, reached)
+        fresh, _ = reach(cfa, precision, 10_000)
+        assert not hit
+        assert [(s.loc, s.value) for s in resumed.states] == [(s.loc, s.value) for s in fresh.states]
+
+    def test_final_reached_set_is_closed(self, monkeypatch):
+        for cfa, stats, calls in safe_refined_runs(monkeypatch, 6):
+            assert stats.states_reused > 0
+            precision, reached = calls[-1]
+            assert not reached.waitlist
+            for state in reached.states:
+                for op, dst in cfa.out_edges(state.loc):
+                    value = restrict(sp(op, state.value), precision.at(dst))
+                    assert value is BOTTOM or reached.covered(dst, value)
+
+    def test_resumed_and_fresh_cover_each_other(self, monkeypatch):
+        for cfa, _, calls in safe_refined_runs(monkeypatch, 6):
+            before, after = calls[-2][0], calls[-1][0]
+            reached, hit = reach(cfa, before, 100_000)
+            assert hit
+            reached.prune({l for l, names in after.tracked.items() if names != before.at(l)})
+            resumed, hit = reach(cfa, after, 100_000, None, reached)
+            assert not hit
+            fresh, hit = reach(cfa, after, 100_000)
+            assert not hit
+            for one, other in ((resumed, fresh), (fresh, resumed)):
+                assert all(other.covered(s.loc, s.value) for s in one.states)
+
+    def test_state_limit_counts_kept_states(self, monkeypatch):
+        cfa = load_cfa(wide_flags_program(4))
+        verdict, stats, calls = traced_cegar(monkeypatch, cfa)
+        assert verdict.kind == "TRUE"
+        peak = max(reached.size for _, reached in calls)
+        assert peak < stats.states_created
+        for limit, kind in ((peak, "TRUE"), (peak - 1, "UNKNOWN")):
+            verdict, _ = cegar(cfa, Heuristic.DOMAIN_TYPE, Limits(200, limit))
+            assert verdict.kind == kind
+
+    def test_wide_flags_scaling_guard(self):
+        # a restart from the root after each of its refinements creates
+        # 54,123 states
+        cfa = load_cfa(wide_flags_program(10))
+        verdict, stats = cegar(cfa, Heuristic.DOMAIN_TYPE)
+        assert verdict.kind == "TRUE"
+        assert stats.states_created <= 15_000
 
 
 class TestCegar:

@@ -151,6 +151,20 @@ class TestBuildCfa:
     def test_deterministic(self):
         assert load_cfa(FIG2) == load_cfa(FIG2)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # the parser's recursion overflows
+            "var x; x := %s1%s;" % ("(" * 3000, ")" * 3000),
+            # nested blocks: the CFA builder recurses as deep as the parser
+            "var x; %sx := 1;%s" % ("if (x == 0) { " * 400, " }" * 400),
+        ],
+        ids=["parentheses", "blocks"],
+    )
+    def test_deep_nesting_is_parse_error(self, source):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load_cfa(source)
+
     def test_assume_statement(self):
         cfa = load_cfa("var x; assume(x > 0);")
         assert any(isinstance(op, Assume) for _, op, _ in cfa.edges)
