@@ -1,20 +1,23 @@
 """Command-line interface: verify, bench, gen.
 
-Exit codes for ``verify``: 0 TRUE, 1 FALSE, 2 UNKNOWN, 3 input error, 4
-internal error (the checker crashed; there is no verdict).  A usage error
-(unknown option or choice, a ``--timeout`` that is not a number of seconds
-in (0, 1e6], a ``--jobs`` or ``--max-states`` below 1, a negative
-``--max-refinements``, missing argument) exits 3 for every subcommand,
-never 2.  Bench output is deterministic by default; measured durations go
-into the CSV only with --timings, because wall-clock noise would break
-byte-stable output (the JSON stats from ``verify`` always carry real
-durations).
+Exit codes for ``verify``: 0 TRUE, 1 FALSE, 2 UNKNOWN, 3 input error (also
+an expression deeper than ``frontend.MAX_DEPTH``), 4 internal error (the
+checker crashed; there is no verdict).  A usage error (unknown option or
+choice, a ``--timeout`` that is not a number of seconds in (0, 1e6], a
+``--jobs`` or ``--max-states`` below 1, a negative ``--max-refinements``,
+missing argument) exits 3 for every subcommand, never 2; so does an unknown
+or repeated name in ``bench --heuristics``.  ``verify --format json`` prints
+the ``RunStats`` fields plus ``verdict``, ``heuristic`` and ``witness``.
+Bench output is deterministic by default; measured durations go into the CSV
+only with --timings, because wall-clock noise would break byte-stable output
+(the JSON stats from ``verify`` always carry real durations).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -100,22 +103,12 @@ def _run_with_timeout(run: Run, timeout: float) -> tuple[Verdict, RunStats]:
 
 
 def _stats_json(verdict: Verdict, heuristic: Heuristic, stats: RunStats) -> dict:
-    witness = None
-    if verdict.witness is not None:
-        witness = render_path(verdict.witness).splitlines()
+    witness = verdict.witness
     return {
         "verdict": verdict.render(),
         "heuristic": heuristic.value,
-        "refinements": stats.refinements,
-        "prefixes_total": stats.prefixes_total,
-        "interpolation_calls": stats.interpolation_calls,
-        "states_created": stats.states_created,
-        "coverage_hits": stats.coverage_hits,
-        "states_reused": stats.states_reused,
-        "chosen_prefix_indices": stats.chosen_prefix_indices,
-        "chosen_prefix_scores": stats.chosen_prefix_scores,
-        "duration_ms": stats.duration_ms,
-        "witness": witness,
+        **dataclasses.asdict(stats),
+        "witness": None if witness is None else render_path(witness).splitlines(),
     }
 
 
@@ -156,7 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("coverage hits: %d" % stats.coverage_hits)
         print("states reused: %d" % stats.states_reused)
         print("duration: %.1f ms" % stats.duration_ms)
-        if args.stats and stats.chosen_prefix_indices:
+        if stats.refinements:
             print("chosen prefix indices: %s" % stats.chosen_prefix_indices)
             print("chosen prefix scores: %s" % stats.chosen_prefix_scores)
         if verdict.witness is not None:
@@ -224,8 +217,17 @@ def run_bench(
     return rows
 
 
-def _solved(row: dict) -> bool:
-    return row["verdict"] in ("TRUE", "FALSE")
+def _summary(rows: list[dict], heuristics: list[Heuristic]) -> dict[str, dict]:
+    """Per heuristic: tasks decided TRUE or FALSE, tasks run, summed duration."""
+    summary = {}
+    for h in heuristics:
+        hrows = [r for r in rows if r["heuristic"] == h.value]
+        summary[h.value] = {
+            "solved": sum(r["verdict"] in ("TRUE", "FALSE") for r in hrows),
+            "tasks": len(hrows),
+            "total_duration_ms": sum(r["duration_ms"] for r in hrows),
+        }
+    return summary
 
 
 def format_bench_csv(rows: list[dict], heuristics: list[Heuristic], timings: bool) -> str:
@@ -233,52 +235,23 @@ def format_bench_csv(rows: list[dict], heuristics: list[Heuristic], timings: boo
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
     for row in rows:
-        writer.writerow(
-            [
-                row["task"],
-                row["heuristic"],
-                row["verdict"],
-                row["refinements"],
-                row["states"],
-                row["interpolation_calls"],
-                "%.1f" % row["duration_ms"] if timings else "",
-            ]
-        )
+        duration = "%.1f" % row["duration_ms"] if timings else ""
+        writer.writerow([row[c] for c in BENCH_COLUMNS[:-1]] + [duration])
     buf.write("# summary\n")
     buf.write("# heuristic,solved,tasks,total_duration_ms\n")
-    for h in heuristics:
-        hrows = [r for r in rows if r["heuristic"] == h.value]
-        total = sum(r["duration_ms"] for r in hrows)
-        buf.write(
-            "# %s,%d,%d,%s\n"
-            % (
-                h.value,
-                sum(1 for r in hrows if _solved(r)),
-                len(hrows),
-                "%.1f" % total if timings else "",
-            )
-        )
+    for name, s in _summary(rows, heuristics).items():
+        total = "%.1f" % s["total_duration_ms"] if timings else ""
+        buf.write("# %s,%d,%d,%s\n" % (name, s["solved"], s["tasks"], total))
     return buf.getvalue()
 
 
 def format_bench_json(rows: list[dict], heuristics: list[Heuristic], timings: bool) -> str:
-    out_rows = []
-    for row in rows:
-        copy = dict(row)
-        if not timings:
-            copy["duration_ms"] = None
-        out_rows.append(copy)
-    summary = {}
-    for h in heuristics:
-        hrows = [r for r in rows if r["heuristic"] == h.value]
-        summary[h.value] = {
-            "solved": sum(1 for r in hrows if _solved(r)),
-            "tasks": len(hrows),
-            "total_duration_ms": sum(r["duration_ms"] for r in hrows)
-            if timings
-            else None,
-        }
-    return json.dumps({"rows": out_rows, "summary": summary}, indent=2)
+    summary = _summary(rows, heuristics)
+    if not timings:
+        rows = [dict(row, duration_ms=None) for row in rows]
+        for s in summary.values():
+            s["total_duration_ms"] = None
+    return json.dumps({"rows": rows, "summary": summary}, indent=2)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -286,10 +259,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         heuristics = [Heuristic(h.strip()) for h in args.heuristics.split(",")]
     except ValueError:
-        print(
-            "error: unknown heuristic; choose from %s" % ", ".join(HEURISTIC_NAMES),
-            file=sys.stderr,
-        )
+        choices = ", ".join(HEURISTIC_NAMES)
+        print("error: unknown heuristic; choose from %s" % choices, file=sys.stderr)
+        return 3
+    if len(set(heuristics)) < len(heuristics):
+        print("error: repeated heuristic in %s" % args.heuristics, file=sys.stderr)
         return 3
     if not FsPath(args.dir).is_dir():
         print("error: not a directory: %s" % args.dir, file=sys.stderr)
@@ -374,20 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="verify a single .imp file")
+    limits = _Parser(add_help=False)
+    limits.add_argument("--max-refinements", type=_int_at_least(0), default=200)
+    limits.add_argument("--max-states", type=_int_at_least(1), default=1_000_000)
+    limits.add_argument("--timeout", type=_timeout_seconds, default=None, metavar="SECONDS")
+
+    verify = sub.add_parser("verify", parents=[limits], help="verify a single .imp file")
     verify.add_argument("file")
     verify.add_argument(
         "--heuristic", choices=HEURISTIC_NAMES, default=Heuristic.DOMAIN_TYPE.value
     )
-    verify.add_argument("--max-refinements", type=_int_at_least(0), default=200)
-    verify.add_argument("--max-states", type=_int_at_least(1), default=1_000_000)
-    verify.add_argument("--timeout", type=_timeout_seconds, default=None, metavar="SECONDS")
     verify.add_argument("--format", choices=["human", "json"], default="human")
     verify.add_argument("--emit-cfa", metavar="OUT.DOT", default=None)
-    verify.add_argument("--stats", action="store_true", help="per-refinement detail")
     verify.set_defaults(func=cmd_verify)
 
-    bench = sub.add_parser("bench", help="run all .imp files in a directory")
+    bench = sub.add_parser("bench", parents=[limits], help="run all .imp files in a directory")
     bench.add_argument("dir")
     bench.add_argument(
         "--heuristics",
@@ -396,9 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--format", choices=["csv", "json"], default="csv")
     bench.add_argument("--jobs", type=_int_at_least(1), default=1)
-    bench.add_argument("--max-refinements", type=_int_at_least(0), default=200)
-    bench.add_argument("--max-states", type=_int_at_least(1), default=1_000_000)
-    bench.add_argument("--timeout", type=_timeout_seconds, default=None, metavar="SECONDS")
     bench.add_argument(
         "--timings",
         action="store_true",

@@ -11,13 +11,16 @@ Grammar (EBNF)::
     block    = "{" { stmt } "}" ;
 
 Comments run from ``//`` to end of line.  All variables must be declared
-before the statement list; integers are arbitrary precision.
+before the statement list; integers are arbitrary precision.  An expression
+or predicate tree deeper than ``MAX_DEPTH`` is a ParseError ("nested too
+deeply"): evaluating, hashing and pickling such trees recurses once per level.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .lang import (
     And,
@@ -48,6 +51,14 @@ from .lang import (
 )
 
 
+#: Deepest expression or predicate tree a statement may hold.  Pickling a
+#: verdict for ``--timeout`` fails from about 330 levels, and evaluation
+#: from about 1000; the bound keeps clear of both.
+MAX_DEPTH = 256
+
+_Tree = TypeVar("_Tree", Expr, Pred)
+
+
 class ParseError(ValueError):
     """Syntax or declaration error, with 1-based source position."""
 
@@ -76,6 +87,19 @@ class _Token:
     text: str
     line: int
     col: int
+
+
+def _depth(tree: Expr | Pred) -> int:
+    """Height of an expression or predicate tree, found without recursion."""
+    height, stack = 0, [(tree, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        if isinstance(node, (Negate, Not)):
+            stack.append((node.operand, level + 1))
+        elif isinstance(node, (BinaryOp, Comparison, And, Or)):
+            stack += ((node.left, level + 1), (node.right, level + 1))
+    return height
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -141,6 +165,20 @@ class _Parser:
             raise ParseError("undeclared variable %r" % tok.text, tok.line, tok.col)
         return tok.text
 
+    def bounded(self, parse: Callable[[], _Tree]) -> _Tree:
+        """``parse()``, rejected if its tree is deeper than MAX_DEPTH."""
+        start = self.i
+        tree = parse()
+        # every node consumes a token of its own, so a short tree is shallow
+        if self.i - start > MAX_DEPTH and _depth(tree) > MAX_DEPTH:
+            tok = self.tokens[start]
+            raise ParseError(
+                "expression nested too deeply (depth above %d)" % MAX_DEPTH,
+                tok.line,
+                tok.col,
+            )
+        return tree
+
     # -- grammar --
 
     def program(self) -> Program:
@@ -175,7 +213,7 @@ class _Parser:
         if t.kind == "ident" and t.text == "if":
             self.i += 1
             self.expect("(")
-            cond = self.pred()
+            cond = self.bounded(self.pred)
             self.expect(")")
             then_body = self.block()
             else_body = self.block() if self.accept("else") else None
@@ -183,13 +221,13 @@ class _Parser:
         if t.kind == "ident" and t.text == "while":
             self.i += 1
             self.expect("(")
-            cond = self.pred()
+            cond = self.bounded(self.pred)
             self.expect(")")
             return WhileStmt(cond, self.block())
         if t.kind == "ident" and t.text == "assume":
             self.i += 1
             self.expect("(")
-            p = self.pred()
+            p = self.bounded(self.pred)
             self.expect(")")
             self.expect(";")
             return AssumeStmt(p)
@@ -206,7 +244,7 @@ class _Parser:
                 self.expect(")")
                 self.expect(";")
                 return NondetStmt(name)
-            exp = self.expr()
+            exp = self.bounded(self.expr)
             self.expect(";")
             return AssignStmt(name, exp)
         raise self._error("expected statement, found %r" % (t.text or "<eof>"))
@@ -425,7 +463,8 @@ def build_cfa(program: Program) -> ControlFlowAutomaton:
 
 def load_cfa(source: str) -> ControlFlowAutomaton:
     """Parse and build; a program nested too deeply for the recursive parser
-    or CFA builder raises ParseError, like any other input it cannot take."""
+    or CFA builder, or an expression deeper than MAX_DEPTH, raises
+    ParseError, like any other input it cannot take."""
     parser = _Parser(source)
     try:
         return build_cfa(parser.program())

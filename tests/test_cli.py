@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from prefixselect import cli
 from prefixselect.cli import (
     BENCH_COLUMNS,
     format_bench_csv,
@@ -12,11 +13,24 @@ from prefixselect.cli import (
     run_bench,
 )
 from prefixselect.engine import Limits
+from prefixselect.frontend import MAX_DEPTH
 from prefixselect.generators import fig2_program, generate_fig2_family
 from prefixselect.refinement import Heuristic
 
 SAFE = "var x; x := 0; if (x > 0) { error; }"
 UNSAFE = "var x; x := nondet(); assume(x == 5); if (x == 5) { error; }"
+
+
+def deep_sum(terms: int) -> str:
+    """Assignment tree of depth ``terms``: ``1 + 1 + ...`` nests to the left."""
+    return "var x; x := %s; if (x == %d) { error; }" % (" + ".join(["1"] * terms), terms)
+
+
+def deep_conjunction(conjuncts: int) -> str:
+    """Assume tree of depth ``conjuncts + 1``: ``&&`` nests to the left over
+    comparisons of depth 2."""
+    pred = " && ".join(["x == 1"] * conjuncts)
+    return "var x; x := nondet(); assume(%s); if (x == 1) { error; }" % pred
 
 
 @pytest.fixture
@@ -39,6 +53,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "states reused: " in out
+        assert "chosen prefix indices: [" in out  # the run refines once
         assert out.rstrip().splitlines()[-1] == "RESULT: TRUE"
 
     def test_unsafe_exit_one_with_witness(self, unsafe_file, capsys):
@@ -155,14 +170,38 @@ class TestVerify:
 
     @pytest.mark.parametrize("extra", [[], ["--timeout", "20"]])
     def test_deep_nesting_exit_three(self, tmp_path, capsys, extra):
-        # parsing 3000 nested parentheses exhausts the recursion limit
-        p = tmp_path / "nested.imp"
-        p.write_text("var x; x := %s1%s;" % ("(" * 3000, ")" * 3000), encoding="utf-8")
-        code = main(["verify", str(p)] + extra)
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.err.startswith("error:") and "nested too deeply" in captured.err
-        assert "RESULT" not in captured.out
+        programs = {
+            # parsing 3000 nested parentheses exhausts the recursion limit
+            "parentheses": "var x; x := %s1%s;" % ("(" * 3000, ")" * 3000),
+            # one level past the depth bound; the pickled verdict of a run
+            # under --timeout would exceed the recursion limit from about 330
+            "sum": deep_sum(MAX_DEPTH + 1),
+            "conjunction": deep_conjunction(MAX_DEPTH),
+        }
+        for name, source in programs.items():
+            p = tmp_path / ("%s.imp" % name)
+            p.write_text(source, encoding="utf-8")
+            code = main(["verify", str(p)] + extra)
+            captured = capsys.readouterr()
+            assert code == 3, name
+            assert captured.err.startswith("error:") and "nested too deeply" in captured.err
+            assert "RESULT" not in captured.out
+
+    @pytest.mark.parametrize(
+        "source",
+        [deep_sum(MAX_DEPTH), deep_conjunction(MAX_DEPTH - 1)],
+        ids=["sum", "conjunction"],
+    )
+    def test_depth_bound_same_result_with_timeout(self, tmp_path, capsys, source):
+        p = tmp_path / "deep.imp"
+        p.write_text(source, encoding="utf-8")
+        results = []
+        for extra in ([], ["--timeout", "20"]):
+            code = main(["verify", str(p), "--format", "json"] + extra)
+            data = json.loads(capsys.readouterr().out)
+            results.append((code, data["verdict"], data["witness"]))
+        assert results[0] == results[1]
+        assert results[0][:2] == (1, "FALSE")
 
     def test_zero_refinements_allowed(self, safe_file, capsys):
         code = main(["verify", str(safe_file), "--max-refinements", "0"])
@@ -170,14 +209,16 @@ class TestVerify:
         assert "RESULT: UNKNOWN(refinement-limit)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("extra", [[], ["--timeout", "20"]])
-    def test_crash_exit_four(self, tmp_path, capsys, extra):
-        # evaluating a 3000-term sum exhausts the recursion limit
-        p = tmp_path / "deep.imp"
-        p.write_text("var x; x := %s;" % " + ".join(["1"] * 3000), encoding="utf-8")
-        code = main(["verify", str(p)] + extra)
+    def test_crash_exit_four(self, safe_file, capsys, monkeypatch, extra):
+        def crash(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        # a forked child under --timeout inherits the patched binding
+        monkeypatch.setattr(cli, "cegar", crash)
+        code = main(["verify", str(safe_file)] + extra)
         captured = capsys.readouterr()
         assert code == 4
-        assert "internal error:" in captured.err
+        assert "internal error: maximum recursion depth exceeded" in captured.err
         assert "RESULT" not in captured.out
 
 
@@ -209,6 +250,8 @@ class TestUsageErrors:
             ["bench", "{dir}", "--jobs", "-2"],
             ["bench", "{dir}", "--max-states", "0"],
             ["bench", "{dir}", "--max-refinements", "-1"],
+            # the chosen prefixes are always reported; the switch is gone
+            ["verify", "{file}", "--stats"],
         ],
     )
     def test_exit_three(self, argv, safe_file, capsys):
@@ -311,6 +354,30 @@ class TestBench:
         code = main(["bench", str(bench_dir), "--heuristics", "mystery"])
         assert code == 3
         assert "unknown heuristic" in capsys.readouterr().err
+
+    def test_repeated_heuristic_exit_three(self, bench_dir, capsys):
+        code = main(["bench", str(bench_dir), "--heuristics", "classic,domain-type,classic"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "repeated heuristic" in captured.err
+        assert captured.out == ""
+
+    def test_timeout_rows(self, bench_dir):
+        # the slow task would run for seconds before its state limit
+        (bench_dir / "c_slow.imp").write_text(fig2_program(100_000), encoding="utf-8")
+        heuristics = [Heuristic.PREFIX_SHORTEST]
+        texts = []
+        for jobs in (1, 2):
+            rows = run_bench(bench_dir, heuristics, Limits(), timeout=1.0, jobs=jobs)
+            assert [(r["task"], r["verdict"]) for r in rows] == [
+                ("a_safe.imp", "TRUE"),
+                ("b_unsafe.imp", "FALSE"),
+                ("c_slow.imp", "UNKNOWN(timeout)"),
+            ]
+            slow = rows[2]
+            assert slow["refinements"] == slow["states"] == slow["interpolation_calls"] == 0
+            texts.append(format_bench_csv(rows, heuristics, timings=False))
+        assert texts[0].encode() == texts[1].encode()
 
     def test_missing_dir_exit_three(self, tmp_path, capsys):
         code = main(["bench", str(tmp_path / "nope")])

@@ -2,7 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from prefixselect.frontend import ParseError, build_cfa, cfa_to_dot, load_cfa, parse
+from prefixselect.frontend import (
+    MAX_DEPTH,
+    ParseError,
+    build_cfa,
+    cfa_to_dot,
+    load_cfa,
+    parse,
+)
 from prefixselect.generators import fig2_program, random_program
 from prefixselect.lang import (
     Assign,
@@ -164,6 +171,25 @@ class TestBuildCfa:
     def test_deep_nesting_is_parse_error(self, source):
         with pytest.raises(ParseError, match="nested too deeply"):
             load_cfa(source)
+
+    @pytest.mark.parametrize(
+        "program, column",
+        [
+            # each builds a tree of depth d in one statement; the column is
+            # where the tree starts
+            (lambda d: "var x; x := %s;" % " + ".join(["x"] * d), 13),
+            (lambda d: "var x; x := %s1;" % ("-" * (d - 1)), 13),
+            (lambda d: "var x; assume(%s);" % " && ".join(["x == 1"] * (d - 1)), 15),
+            (lambda d: "var x; if (%sx == 1) { x := 1; }" % ("!" * (d - 2)), 12),
+            (lambda d: "var x; while (%s) { x := 0; }" % " || ".join(["x > 0"] * (d - 1)), 15),
+        ],
+        ids=["sum", "negation", "conjunction", "not", "loop-condition"],
+    )
+    def test_depth_bound(self, program, column):
+        load_cfa(program(MAX_DEPTH))
+        with pytest.raises(ParseError, match="nested too deeply") as exc:
+            load_cfa(program(MAX_DEPTH + 1))
+        assert (exc.value.line, exc.value.col) == (1, column)
 
     def test_assume_statement(self):
         cfa = load_cfa("var x; assume(x > 0);")
