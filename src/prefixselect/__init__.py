@@ -41,7 +41,6 @@ from .values import (
     TOP,
     Assignment,
     ThreeValued,
-    conjoin,
     eval_expr,
     eval_pred,
     implies,

@@ -148,6 +148,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("states created: %d" % stats.states_created)
         print("coverage hits: %d" % stats.coverage_hits)
         print("states reused: %d" % stats.states_reused)
+        print("precision size: %d" % stats.precision_size)
         print("duration: %.1f ms" % stats.duration_ms)
         if stats.refinements:
             print("chosen prefix indices: %s" % stats.chosen_prefix_indices)
@@ -283,7 +284,11 @@ def cmd_gen_fig2(args: argparse.Namespace) -> int:
     if args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return 3
-    path = generate_fig2_family(args.n, args.out)
+    try:
+        path = generate_fig2_family(args.n, args.out)
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 3
     print(path)
     return 0
 
@@ -292,7 +297,12 @@ def cmd_gen_random(args: argparse.Namespace) -> int:
     if args.count < 1:
         print("error: --count must be >= 1", file=sys.stderr)
         return 3
-    for path in generate_random_programs(args.seed, args.count, args.out):
+    try:
+        paths = generate_random_programs(args.seed, args.count, args.out)
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 3
+    for path in paths:
         print(path)
     return 0
 

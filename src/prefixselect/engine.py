@@ -26,7 +26,9 @@ from .refinement import (
     RefinementResult,
     check_refinement_progress,
     classify_domain_types,
+    live_locations,
     refine_selecting,
+    widen_to_live_ranges,
 )
 from .values import BOTTOM, TOP, Assignment, restrict, sp
 
@@ -46,6 +48,8 @@ class RunStats:
     ``states_created`` and ``coverage_hits`` count only new work: states a
     refinement leaves valid are not created again, and are counted once more
     in ``states_reused`` at every restart that keeps them.
+    ``precision_size`` is the number of tracked (location, variable) pairs
+    when the run ends.
     """
 
     refinements: int = 0
@@ -54,6 +58,7 @@ class RunStats:
     states_created: int = 0
     coverage_hits: int = 0
     states_reused: int = 0
+    precision_size: int = 0
     chosen_prefix_indices: list[Optional[int]] = field(default_factory=list)
     chosen_prefix_scores: list[Optional[int]] = field(default_factory=list)
     duration_ms: float = 0.0
@@ -253,16 +258,18 @@ def cegar(
 ) -> tuple[Verdict, RunStats]:
     """CEGAR loop with lazy restart after each refinement.
 
-    Starts from the empty precision; on each spurious counterexample the
-    refinement's precision is checked to exclude that path, then unioned
-    pointwise into the running precision.  Where a full restart would explore
-    again from the root, the reached set is pruned to the states that avoid
-    every location whose tracked set grew, and ``reach`` resumes from it; the
-    fixpoint is the same, only the exploration order differs.
+    Starts from the empty precision.  On each spurious counterexample the
+    refinement's per-path precision is widened to the live ranges of its
+    variables (``widen_to_live_ranges``), checked to exclude that path, and
+    unioned pointwise into the running precision.  Where a full restart would
+    explore again from the root, the reached set is pruned to the states that
+    avoid every location whose tracked set grew, and ``reach`` resumes from
+    it; the fixpoint is the same, only the exploration order differs.
     """
     stats = RunStats()
     start = time.perf_counter()
     table = classify_domain_types(cfa)
+    live = live_locations(cfa)
     precision = Precision()
     verdict: Optional[Verdict] = None
     reached: Optional[ReachedSet] = None
@@ -280,13 +287,14 @@ def cegar(
                 verdict = Verdict("UNKNOWN", reason="refinement-limit")
                 break
             result = refine_selecting(sigma, heuristic, table, cfa.variables)
-            if not check_refinement_progress(sigma, result.precision):
+            widened = widen_to_live_ranges(result.precision, cfa, live)
+            if not check_refinement_progress(sigma, widened):
                 raise RefinementProgressError(
                     "refined precision does not exclude the refuted path"
                 )
             if on_refinement is not None:
                 on_refinement(sigma, result)
-            refined = precision.union(result.precision)
+            refined = precision.union(widened)
             changed = {
                 loc
                 for loc, names in refined.tracked.items()
@@ -310,5 +318,6 @@ def cegar(
             )
     except StateLimitReached:
         verdict = Verdict("UNKNOWN", reason="state-limit")
+    stats.precision_size = precision.total_size()
     stats.duration_ms = (time.perf_counter() - start) * 1000.0
     return verdict, stats

@@ -198,7 +198,3 @@ def render_path(path: Path, replaced: Iterable[int] = (), original: Path | None 
             text = render_op(op)
         lines.append("(%s, l%d)" % (text, loc))
     return "\n".join(lines)
-
-
-def render_prefix(prefix: SlicedPrefix) -> str:
-    return render_path(prefix.path, prefix.replaced, prefix.original)

@@ -6,6 +6,13 @@ while selection extracts all infeasible sliced prefixes, interpolates each
 independently, and picks one by a heuristic.  The domain-type heuristic
 scores interpolant sequences by how expensive their variables are to track
 (booleans cheap, loop counters dear).
+
+A refinement yields a per-path precision: each variable an interpolant
+references, at the location of that interpolant.  ``widen_to_live_ranges``
+maps it to the precision the analysis uses: a variable tracked at location l
+is also tracked at every location forward-reachable from l where it is live
+(per-location explicit-value precisions, Beyer and Löwe, FASE 2013, widened
+by classical liveness).  Interpolants and prefix selection do not change.
 """
 
 from __future__ import annotations
@@ -257,6 +264,64 @@ def classify_domain_types(cfa: ControlFlowAutomaton) -> dict[str, DomainType]:
         else:
             table[x] = DomainType.INTEGER_OTHER
     return table
+
+
+def live_locations(cfa: ControlFlowAutomaton) -> dict[str, frozenset[int]]:
+    """Locations where each variable is live.
+
+    x is live at l when some path from l reaches an edge that reads x (an
+    assignment's expression or an assume's predicate mentions x) and crosses
+    no edge that kills x on the way (``x := nondet()``, or ``x := e`` where e
+    does not mention x).  One backward search over the edges per variable.
+    """
+    readers: dict[str, list[int]] = {x: [] for x in cfa.variables}
+    preds: dict[int, list[tuple[int, Optional[str]]]] = {l: [] for l in cfa.locations}
+    for src, op, dst in cfa.edges:
+        if isinstance(op, Assume):
+            used, killed = pred_variables(op.pred), None
+        else:
+            used = expr_variables(op.expr) if isinstance(op, Assign) else set()
+            killed = None if op.var in used else op.var
+        for x in used:
+            readers[x].append(src)
+        preds[dst].append((src, killed))
+    live = {}
+    for x, sources in readers.items():
+        seen = set(sources)
+        stack = list(seen)
+        while stack:
+            for src, killed in preds[stack.pop()]:
+                if killed != x and src not in seen:
+                    seen.add(src)
+                    stack.append(src)
+        live[x] = frozenset(seen)
+    return live
+
+
+def widen_to_live_ranges(
+    precision: Precision,
+    cfa: ControlFlowAutomaton,
+    live: Mapping[str, frozenset[int]],
+) -> Precision:
+    """``precision`` plus, for each variable x it tracks at some location l,
+    x at every location forward-reachable from l where x is live (``live``
+    as computed by ``live_locations``).  One forward search per variable."""
+    seeds: dict[str, list[int]] = {}
+    for loc, names in precision.tracked.items():
+        for x in names:
+            seeds.setdefault(x, []).append(loc)
+    tracked = {loc: set(names) for loc, names in precision.tracked.items()}
+    for x, locs in seeds.items():
+        seen = set(locs)
+        stack = list(locs)
+        while stack:
+            for _, dst in cfa.out_edges(stack.pop()):
+                if dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        for loc in seen & live[x]:
+            tracked.setdefault(loc, set()).add(x)
+    return Precision({loc: frozenset(names) for loc, names in tracked.items()})
 
 
 def score_interpolant_sequence(

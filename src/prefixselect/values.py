@@ -130,20 +130,6 @@ class ThreeValued(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def conjoin(v: AbstractAssignment, v2: AbstractAssignment) -> AbstractAssignment:
-    """Conjunction: Bottom absorbs; disagreement on a shared variable is Bottom;
-    otherwise the union of the maps."""
-    if v is BOTTOM or v2 is BOTTOM:
-        return BOTTOM
-    m = v._m
-    for x, c in v2._m.items():
-        if x in m and m[x] != c:
-            return BOTTOM
-    merged = dict(m)
-    merged.update(v2._m)
-    return Assignment._own(merged)
-
-
 def implies(v: AbstractAssignment, v2: AbstractAssignment) -> bool:
     """v implies v2: v is Bottom, or v agrees with v2 on all of def(v2)."""
     if v is BOTTOM:

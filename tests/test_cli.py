@@ -53,6 +53,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "states reused: " in out
+        assert "precision size: " in out
         assert "chosen prefix indices: [" in out  # the run refines once
         assert out.rstrip().splitlines()[-1] == "RESULT: TRUE"
 
@@ -98,6 +99,7 @@ class TestVerify:
             "states_created",
             "coverage_hits",
             "states_reused",
+            "precision_size",
             "chosen_prefix_indices",
             "chosen_prefix_scores",
             "duration_ms",
@@ -108,6 +110,7 @@ class TestVerify:
         assert data["witness"] is None
         assert isinstance(data["duration_ms"], float)
         assert data["refinements"] == 1 and data["states_reused"] > 0
+        assert data["precision_size"] > 0
 
     def test_json_witness_lines(self, unsafe_file, capsys):
         main(["verify", str(unsafe_file), "--format", "json"])
@@ -414,3 +417,19 @@ class TestGen:
     def test_invalid_count_exit_three(self, tmp_path, capsys):
         assert main(["gen", "random", "--seed", "1", "--count", "0", "--out", str(tmp_path)]) == 3
         capsys.readouterr()
+
+    def test_fig2_unwritable_out_exit_three(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["gen", "fig2", "--n", "5", "--out", str(blocker / "sub")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error:") and not captured.out
+
+    def test_random_out_is_a_file_exit_three(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["gen", "random", "--seed", "1", "--count", "2", "--out", str(blocker)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error:") and not captured.out

@@ -272,11 +272,51 @@ class TestLazyRestart:
 
     def test_wide_flags_scaling_guard(self):
         # a restart from the root after each of its refinements creates
-        # 54,123 states
+        # 20,401 states
         cfa = load_cfa(wide_flags_program(10))
         verdict, stats = cegar(cfa, Heuristic.DOMAIN_TYPE)
         assert verdict.kind == "TRUE"
         assert stats.states_created <= 15_000
+
+
+class TestLiveRangeWidening:
+    """A refinement's variables are tracked over their live ranges."""
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    @pytest.mark.parametrize("heuristic", [Heuristic.DOMAIN_TYPE, Heuristic.CLASSIC])
+    def test_wide_flags_one_refinement_per_flag(self, k, heuristic):
+        # tracked only along the refuted path, flag j is learned again on
+        # every combination of earlier branches: k(k+1)/2 refinements
+        verdict, stats = cegar(load_cfa(wide_flags_program(k)), heuristic)
+        assert verdict.kind == "TRUE"
+        assert stats.refinements == k
+
+    def test_flag_loop_family(self):
+        classic_states = []
+        for n in (10, 100, 1000):
+            cfa = load_cfa(fig2_program(n))
+            verdict, stats = cegar(cfa, Heuristic.DOMAIN_TYPE)
+            assert verdict.kind == "TRUE"
+            assert (stats.refinements, stats.states_created) == (1, 15)
+            verdict, stats = cegar(cfa, Heuristic.CLASSIC)
+            assert verdict.kind == "TRUE"
+            classic_states.append(stats.states_created)
+        assert classic_states == sorted(set(classic_states))
+
+    def test_never_more_refinements_than_per_path(self, monkeypatch):
+        runs = []
+        for index in range(40):
+            cfa = load_cfa(random_program(7, index))
+            for heuristic in Heuristic:
+                runs.append((cfa, heuristic) + cegar(cfa, heuristic))
+        monkeypatch.setattr(engine, "widen_to_live_ranges", lambda p, cfa, live: p)
+        fewer = 0
+        for cfa, heuristic, verdict, stats in runs:
+            per_path, per_path_stats = cegar(cfa, heuristic)
+            assert verdict.render() == per_path.render()
+            assert stats.refinements <= per_path_stats.refinements
+            fewer += stats.refinements < per_path_stats.refinements
+        assert fewer
 
 
 class TestCegar:

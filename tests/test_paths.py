@@ -12,7 +12,6 @@ from prefixselect.paths import (
     extract_sliced_prefixes,
     is_feasible,
     render_path,
-    render_prefix,
     sp_path,
     sp_seq,
 )
@@ -164,7 +163,8 @@ class TestRendering:
 
     def test_replaced_annotation(self):
         prefixes = extract_sliced_prefixes(TWO_REASONS)
-        text = render_prefix(prefixes[1])
+        p = prefixes[1]
+        text = render_path(p.path, p.replaced, p.original)
         assert text.splitlines() == [
             "(x := 0, l1)",
             "([true] (was: [x > 0]), l2)",

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from conftest import assign, assume_cmp, mkpath
 from prefixselect.engine import cegar, extract_error_path, reach
 from prefixselect.frontend import load_cfa
-from prefixselect.generators import fig2_program
+from prefixselect.generators import fig2_program, random_program
 from prefixselect.interpolation import InterpolantSequence, interpolant_sequence
+from prefixselect.lang import Assign, AssignNondet, expr_variables, pred_variables
 from prefixselect.paths import (
     FeasiblePathError,
     extract_sliced_prefixes,
@@ -22,8 +23,10 @@ from prefixselect.refinement import (
     choose_sliced_prefix,
     classify_domain_types,
     extract_precision,
+    live_locations,
     refine_selecting,
     score_interpolant_sequence,
+    widen_to_live_ranges,
 )
 from prefixselect.values import BOTTOM, TOP, Assignment
 
@@ -153,6 +156,53 @@ def test_components_are_mutual_reachability_classes(succ):
     expected = {frozenset(v for v in reach_of[u] if u in reach_of[v]) for u in succ}
     found = [frozenset(c) for c in _strongly_connected_components(succ)]
     assert len(found) == len(set(found)) and set(found) == expected
+
+
+def live_by_search(cfa, x, start):
+    """Reference liveness: a search over locations from ``start`` that never
+    crosses an edge killing x reaches an edge that reads x."""
+    seen, todo = {start}, [start]
+    while todo:
+        for op, dst in cfa.out_edges(todo.pop()):
+            if isinstance(op, AssignNondet):
+                reads, kills = False, op.var == x
+            elif isinstance(op, Assign):
+                reads = x in expr_variables(op.expr)
+                kills = op.var == x and not reads
+            else:
+                reads, kills = x in pred_variables(op.pred), False
+            if reads:
+                return True
+            if not kills and dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+    return False
+
+
+class TestLiveRanges:
+    @given(st.integers(0, 30), st.integers(0, 300), st.data())
+    def test_match_reference_search(self, seed, index, data):
+        cfa = load_cfa(random_program(seed, index))
+        live = live_locations(cfa)
+        assert set(live) == set(cfa.variables)
+        for x in cfa.variables:
+            assert live[x] == {l for l in cfa.locations if live_by_search(cfa, x, l)}
+        pairs = data.draw(
+            st.lists(st.tuples(st.sampled_from(cfa.locations), st.sampled_from(cfa.variables)))
+        )
+        tracked = {}
+        for l, x in pairs:
+            tracked[l] = tracked.get(l, frozenset()) | {x}
+        per_path = Precision(tracked)
+        succ = {l: [dst for _, dst in cfa.out_edges(l)] for l in cfa.locations}
+        expected = set(pairs) | {
+            (m, x)
+            for l, x in pairs
+            for m in reachable(succ, l)
+            if live_by_search(cfa, x, m)
+        }
+        widened = widen_to_live_ranges(per_path, cfa, live)
+        assert {(l, x) for l, names in widened.tracked.items() for x in names} == expected
 
 
 def seq_over(*variables):

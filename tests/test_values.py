@@ -22,7 +22,6 @@ from prefixselect.values import (
     TOP,
     Assignment,
     ThreeValued,
-    conjoin,
     eval_expr,
     eval_pred,
     implies,
@@ -87,6 +86,19 @@ def _conjuncts(p):
     if isinstance(p, And):
         return _conjuncts(p.left) + _conjuncts(p.right)
     return [p]
+
+
+def conjoin(v, v2):
+    """Conjunction, which ``reference_sp`` builds on: Bottom absorbs;
+    disagreement on a shared variable is Bottom; otherwise the union of the
+    maps."""
+    if v is BOTTOM or v2 is BOTTOM:
+        return BOTTOM
+    merged = dict(v.items())
+    for x, c in v2.items():
+        if merged.setdefault(x, c) != c:
+            return BOTTOM
+    return Assignment(merged)
 
 
 def reference_sp(op, v):
