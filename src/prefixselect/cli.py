@@ -1,13 +1,16 @@
 """Command-line interface: verify, bench, gen.
 
 Exit codes for ``verify``: 0 TRUE, 1 FALSE, 2 UNKNOWN, 3 input error (also
-an expression deeper than ``frontend.MAX_DEPTH``), 4 internal error (the
-checker crashed; there is no verdict).  A usage error (unknown option or
-choice, a ``--timeout`` that is not a number of seconds in (0, 1e6], a
-``--jobs`` or ``--max-states`` below 1, a negative ``--max-refinements``,
-missing argument) exits 3 for every subcommand, never 2; so does an unknown
-or repeated name in ``bench --heuristics``.  ``verify --format json`` prints
-the ``RunStats`` fields plus ``verdict``, ``heuristic`` and ``witness``.
+a file that is not UTF-8, an expression deeper than ``frontend.MAX_DEPTH``
+and an integer literal too long to convert), 4 internal error (the checker
+crashed; there is no verdict).  ``bench`` reports a task with an input error
+as ``UNKNOWN(error)`` and a crashed run as ``UNKNOWN(internal-error)``.  A
+usage error (unknown option or choice, a ``--timeout`` that is not a number
+of seconds in (0, 1e6], a ``--jobs`` or ``--max-states`` below 1, a
+negative ``--max-refinements``, missing argument) exits 3 for every
+subcommand, never 2; so does an unknown or repeated name in
+``bench --heuristics``.  ``verify --format json`` prints the ``RunStats``
+fields plus ``verdict``, ``heuristic`` and ``witness``.
 Bench output is deterministic by default; measured durations go into the CSV
 only with --timings, because wall-clock noise would break byte-stable output
 (the JSON stats from ``verify`` always carry real durations).
@@ -46,6 +49,10 @@ def _configure_logging() -> None:
         level=getattr(logging, level_name, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
+
+
+#: What ``_run_file`` raises on a file it cannot read or parse.
+INPUT_ERRORS = (OSError, UnicodeDecodeError, ParseError)
 
 
 def _run_file(
@@ -118,7 +125,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         source = FsPath(args.file).read_text(encoding="utf-8")
         cfa = load_cfa(source)
-    except (OSError, ParseError) as exc:
+    except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     if args.emit_cfa:
@@ -173,19 +180,32 @@ BENCH_COLUMNS = [
 ]
 
 
+def _bench_run(
+    task: FsPath, heuristic: Heuristic, limits: Limits
+) -> tuple[Verdict, RunStats]:
+    """``_run_file``, with a failure turned into a verdict: UNKNOWN(error) for
+    an input error, UNKNOWN(internal-error) for a crash of the checker."""
+    try:
+        return _run_file(str(task), heuristic, limits)
+    except Exception as exc:
+        log.warning("task %s failed: %s", task.name, exc)
+        reason = "error" if isinstance(exc, INPUT_ERRORS) else "internal-error"
+        return Verdict("UNKNOWN", reason=reason), RunStats()
+
+
 def _bench_one(
     task: FsPath, heuristic: Heuristic, limits: Limits, timeout: Optional[float]
 ) -> dict:
-    try:
-        if timeout is not None:
+    if timeout is None:
+        verdict, stats = _bench_run(task, heuristic, limits)
+    else:
+        try:
             verdict, stats = _run_with_timeout(
-                lambda: _run_file(str(task), heuristic, limits), timeout
+                lambda: _bench_run(task, heuristic, limits), timeout
             )
-        else:
-            verdict, stats = _run_file(str(task), heuristic, limits)
-    except Exception as exc:
-        log.warning("task %s failed: %s", task.name, exc)
-        verdict, stats = Verdict("UNKNOWN", reason="error"), RunStats()
+        except Exception as exc:  # the child died without a result
+            log.warning("task %s failed: %s", task.name, exc)
+            verdict, stats = Verdict("UNKNOWN", reason="internal-error"), RunStats()
     return {
         "task": task.name,
         "heuristic": heuristic.value,

@@ -11,15 +11,25 @@ Grammar (EBNF)::
     block    = "{" { stmt } "}" ;
 
 Comments run from ``//`` to end of line.  All variables must be declared
-before the statement list; integers are arbitrary precision.  An expression
-or predicate tree deeper than ``MAX_DEPTH`` is a ParseError ("nested too
-deeply"): evaluating, hashing and pickling such trees recurses once per level.
+before the statement list; integers are arbitrary precision, but a literal
+with more digits than ``int()`` converts (4300 by default) is a ParseError
+("integer literal too long").  An expression or predicate tree deeper than
+``MAX_DEPTH`` is a ParseError ("nested too deeply"): evaluating, hashing and
+pickling such trees recurses once per level.
+
+The tokenizer turns the source into ``(text, offset)`` pairs, ending with
+``("", len(source))``; the parser tests token text alone.  A token that
+starts with a digit is an integer, and a name starts with a letter or ``_``
+and is no keyword.  A ParseError's line and column are worked out from the
+offset only when the error is raised.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, TypeVar
 
 from .lang import (
@@ -68,25 +78,25 @@ class ParseError(ValueError):
         self.col = col
 
 
+# whitespace and comments match no group and are dropped; any other
+# character matches ``bad``
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+|//[^\n]*)
-    | (?P<int>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-    | (?P<sym>:=|==|!=|<=|>=|&&|\|\||[-+*/%<>!(){};,])
+      \s+ | //[^\n]*
+    | (?P<token>\d+ | [A-Za-z_][A-Za-z_0-9]* | := | == | != | <= | >= | && | \|\|
+                | [-+*/%<>!(){};,])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _KEYWORDS = {"var", "if", "else", "while", "assume", "error", "nondet", "true", "false"}
 
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 
-@dataclass
-class _Token:
-    kind: str  # "int" | "ident" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+
+def _is_name(text: str) -> bool:
+    return text.isidentifier() and text not in _KEYWORDS
 
 
 def _depth(tree: Expr | Pred) -> int:
@@ -102,68 +112,65 @@ def _depth(tree: Expr | Pred) -> int:
     return height
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(
-                "unexpected character %r" % source[pos], line, pos - line_start + 1
-            )
-        col = pos - line_start + 1
-        kind = m.lastgroup
-        text = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(source) - line_start + 1))
-    return tokens
-
-
 class _Parser:
     def __init__(self, source: str):
-        self.tokens = _tokenize(source)
+        self.source = source
+        self.tokens: list[tuple[str, int]] = []
+        for m in _TOKEN_RE.finditer(source):
+            if m.lastgroup == "token":
+                self.tokens.append((m.group(), m.start()))
+            elif m.lastgroup == "bad":
+                raise self._error_at("unexpected character %r" % m.group(), m.start())
+        self.tokens.append(("", len(source)))
         self.i = 0
         self.declared: list[str] = []
 
     # -- token helpers --
 
     @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
+    def text(self) -> str:
+        return self.tokens[self.i][0]
+
+    @cached_property
+    def _newlines(self) -> list[int]:
+        """Offsets of the newlines, found once: ``pred_atom`` backtracks over
+        an error per parenthesized comparison, and counting each time from
+        the start of the source would make parsing quadratic."""
+        return [m.start() for m in re.finditer("\n", self.source)]
+
+    def _error_at(self, message: str, offset: int) -> ParseError:
+        before = bisect_left(self._newlines, offset)
+        line_start = self._newlines[before - 1] + 1 if before else 0
+        return ParseError(message, before + 1, offset - line_start + 1)
 
     def _error(self, message: str) -> ParseError:
-        return ParseError(message, self.cur.line, self.cur.col)
+        return self._error_at(message, self.tokens[self.i][1])
+
+    def _found(self, expected: str) -> ParseError:
+        return self._error("expected %s, found %r" % (expected, self.text or "<eof>"))
 
     def accept(self, text: str) -> bool:
-        t = self.cur
-        if t.kind in ("sym", "ident") and t.text == text:
+        if self.tokens[self.i][0] == text:
             self.i += 1
             return True
         return False
 
-    def expect(self, text: str) -> _Token:
-        t = self.cur
+    def expect(self, text: str) -> None:
         if not self.accept(text):
-            raise self._error("expected %r, found %r" % (text, t.text or "<eof>"))
-        return t
+            raise self._found(repr(text))
 
-    def expect_ident(self) -> _Token:
-        t = self.cur
-        if t.kind != "ident" or t.text in _KEYWORDS:
-            raise self._error("expected identifier, found %r" % (t.text or "<eof>"))
+    def expect_name(self) -> tuple[str, int]:
+        token = self.tokens[self.i]
+        if not _is_name(token[0]):
+            raise self._found("identifier")
         self.i += 1
-        return t
+        return token
 
-    def _check_declared(self, tok: _Token) -> str:
-        if tok.text not in self.declared:
-            raise ParseError("undeclared variable %r" % tok.text, tok.line, tok.col)
-        return tok.text
+    def _check_declared(self, token: tuple[str, int]) -> str:
+        name, offset = token
+        if name not in self.declared:
+            raise self._error_at("undeclared variable %r" % name, offset)
+        return name
 
     def bounded(self, parse: Callable[[], _Tree]) -> _Tree:
         """``parse()``, rejected if its tree is deeper than MAX_DEPTH."""
@@ -171,31 +178,26 @@ class _Parser:
         tree = parse()
         # every node consumes a token of its own, so a short tree is shallow
         if self.i - start > MAX_DEPTH and _depth(tree) > MAX_DEPTH:
-            tok = self.tokens[start]
-            raise ParseError(
+            raise self._error_at(
                 "expression nested too deeply (depth above %d)" % MAX_DEPTH,
-                tok.line,
-                tok.col,
+                self.tokens[start][1],
             )
         return tree
 
     # -- grammar --
 
     def program(self) -> Program:
-        while self.cur.text == "var" and self.cur.kind == "ident":
-            self.i += 1
+        while self.accept("var"):
             while True:
-                tok = self.expect_ident()
-                if tok.text in self.declared:
-                    raise ParseError(
-                        "duplicate declaration of %r" % tok.text, tok.line, tok.col
-                    )
-                self.declared.append(tok.text)
+                name, offset = self.expect_name()
+                if name in self.declared:
+                    raise self._error_at("duplicate declaration of %r" % name, offset)
+                self.declared.append(name)
                 if not self.accept(","):
                     break
             self.expect(";")
         body = []
-        while self.cur.kind != "eof":
+        while self.text:
             body.append(self.stmt())
         return Program(tuple(self.declared), tuple(body))
 
@@ -203,116 +205,103 @@ class _Parser:
         self.expect("{")
         body = []
         while not self.accept("}"):
-            if self.cur.kind == "eof":
+            if not self.text:
                 raise self._error("unterminated block")
             body.append(self.stmt())
         return tuple(body)
 
+    def condition(self) -> Pred:
+        self.expect("(")
+        cond = self.bounded(self.pred)
+        self.expect(")")
+        return cond
+
     def stmt(self) -> Stmt:
-        t = self.cur
-        if t.kind == "ident" and t.text == "if":
-            self.i += 1
-            self.expect("(")
-            cond = self.bounded(self.pred)
-            self.expect(")")
+        if self.accept("if"):
+            cond = self.condition()
             then_body = self.block()
             else_body = self.block() if self.accept("else") else None
             return IfStmt(cond, then_body, else_body)
-        if t.kind == "ident" and t.text == "while":
-            self.i += 1
-            self.expect("(")
-            cond = self.bounded(self.pred)
-            self.expect(")")
-            return WhileStmt(cond, self.block())
-        if t.kind == "ident" and t.text == "assume":
-            self.i += 1
-            self.expect("(")
-            p = self.bounded(self.pred)
-            self.expect(")")
+        if self.accept("while"):
+            return WhileStmt(self.condition(), self.block())
+        if self.accept("assume"):
+            cond = self.condition()
             self.expect(";")
-            return AssumeStmt(p)
-        if t.kind == "ident" and t.text == "error":
-            self.i += 1
+            return AssumeStmt(cond)
+        if self.accept("error"):
             self.expect(";")
             return ErrorStmt()
-        if t.kind == "ident" and t.text not in _KEYWORDS:
-            name = self._check_declared(self.expect_ident())
-            self.expect(":=")
-            if self.cur.text == "nondet" and self.cur.kind == "ident":
-                self.i += 1
-                self.expect("(")
-                self.expect(")")
-                self.expect(";")
-                return NondetStmt(name)
-            exp = self.bounded(self.expr)
+        if not _is_name(self.text):
+            raise self._found("statement")
+        name = self._check_declared(self.expect_name())
+        self.expect(":=")
+        if self.accept("nondet"):
+            self.expect("(")
+            self.expect(")")
             self.expect(";")
-            return AssignStmt(name, exp)
-        raise self._error("expected statement, found %r" % (t.text or "<eof>"))
+            return NondetStmt(name)
+        exp = self.bounded(self.expr)
+        self.expect(";")
+        return AssignStmt(name, exp)
 
     # expressions: + - below * / %
 
     def expr(self) -> Expr:
         left = self.term()
-        while self.cur.text in ("+", "-") and self.cur.kind == "sym":
-            op = self.cur.text
+        while (op := self.text) in ("+", "-"):
             self.i += 1
             left = BinaryOp(op, left, self.term())
         return left
 
     def term(self) -> Expr:
         left = self.factor()
-        while self.cur.text in ("*", "/", "%") and self.cur.kind == "sym":
-            op = self.cur.text
+        while (op := self.text) in ("*", "/", "%"):
             self.i += 1
             left = BinaryOp(op, left, self.factor())
         return left
 
     def factor(self) -> Expr:
-        t = self.cur
-        if t.kind == "sym" and t.text == "-":
-            self.i += 1
+        if self.accept("-"):
             return Negate(self.factor())
-        if t.kind == "sym" and t.text == "(":
-            self.i += 1
+        if self.accept("("):
             exp = self.expr()
             self.expect(")")
             return exp
-        if t.kind == "int":
+        token = self.tokens[self.i]
+        text = token[0]
+        if text[:1].isdigit():
             self.i += 1
-            return IntLit(int(t.text))
-        if t.kind == "ident" and t.text not in _KEYWORDS:
+            try:
+                return IntLit(int(text))
+            except ValueError:  # more digits than int() converts
+                raise self._error_at("integer literal too long", token[1]) from None
+        if _is_name(text):
             self.i += 1
-            return VarRef(self._check_declared(t))
-        raise self._error("expected expression, found %r" % (t.text or "<eof>"))
+            return VarRef(self._check_declared(token))
+        raise self._found("expression")
 
     # predicates: || below && below ! / atoms
 
     def pred(self) -> Pred:
         left = self.conj()
-        while self.cur.text == "||" and self.cur.kind == "sym":
-            self.i += 1
+        while self.accept("||"):
             left = Or(left, self.conj())
         return left
 
     def conj(self) -> Pred:
         left = self.pred_atom()
-        while self.cur.text == "&&" and self.cur.kind == "sym":
-            self.i += 1
+        while self.accept("&&"):
             left = And(left, self.pred_atom())
         return left
 
     def pred_atom(self) -> Pred:
-        t = self.cur
-        if t.kind == "sym" and t.text == "!":
-            self.i += 1
+        if self.accept("!"):
             return Not(self.pred_atom())
-        if t.kind == "ident" and t.text == "true":
-            self.i += 1
+        if self.accept("true"):
             return BoolLit(True)
-        if t.kind == "ident" and t.text == "false":
-            self.i += 1
+        if self.accept("false"):
             return BoolLit(False)
-        if t.kind == "sym" and t.text == "(":
+        if self.text == "(":
             # could be a parenthesized predicate or a parenthesized expression
             # starting a comparison; try predicate first, fall back to expr
             save = self.i
@@ -320,17 +309,16 @@ class _Parser:
             try:
                 inner = self.pred()
                 self.expect(")")
-                if self.cur.text in ("==", "!=", "<", "<=", ">", ">="):
+                if self.text in _COMPARISONS:
                     raise self._error("comparison of predicates")
                 return inner
             except ParseError:
                 self.i = save
         left = self.expr()
-        t = self.cur
-        if t.kind == "sym" and t.text in ("==", "!=", "<", "<=", ">", ">="):
+        if (op := self.text) in _COMPARISONS:
             self.i += 1
-            return Comparison(t.text, left, self.expr())
-        raise self._error("expected comparison operator, found %r" % (t.text or "<eof>"))
+            return Comparison(op, left, self.expr())
+        raise self._found("comparison operator")
 
 
 def parse(source: str) -> Program:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -12,7 +13,7 @@ from prefixselect.cli import (
     main,
     run_bench,
 )
-from prefixselect.engine import Limits
+from prefixselect.engine import Limits, RefinementProgressError
 from prefixselect.frontend import MAX_DEPTH
 from prefixselect.generators import fig2_program, generate_fig2_family
 from prefixselect.refinement import Heuristic
@@ -85,6 +86,24 @@ class TestVerify:
         code = main(["verify", str(p)])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--timeout", "20"]])
+    def test_non_utf8_exit_three(self, tmp_path, capsys, extra):
+        p = tmp_path / "bad.imp"
+        p.write_bytes(b"var x; x := 1; // \xff\n")
+        code = main(["verify", str(p)] + extra)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error:") and "utf-8" in captured.err
+        assert "RESULT" not in captured.out
+
+    def test_literal_too_long_exit_three(self, tmp_path, capsys):
+        p = tmp_path / "long.imp"
+        p.write_text("var x; x := %s;" % ("1" * 5000), encoding="utf-8")
+        code = main(["verify", str(p)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: 1:13: integer literal too long\n"
 
     def test_json_schema(self, safe_file, capsys):
         code = main(["verify", str(safe_file), "--format", "json"])
@@ -381,6 +400,32 @@ class TestBench:
             assert slow["refinements"] == slow["states"] == slow["interpolation_calls"] == 0
             texts.append(format_bench_csv(rows, heuristics, timings=False))
         assert texts[0].encode() == texts[1].encode()
+
+    @pytest.mark.parametrize("timeout", [None, 20.0])
+    def test_crash_is_internal_error(self, bench_dir, monkeypatch, timeout):
+        def crash(*args):
+            raise RefinementProgressError("no progress")
+
+        # input errors: undeclared variable, not UTF-8, literal too long
+        (bench_dir / "c_undeclared.imp").write_text("var x; x := y;", encoding="utf-8")
+        (bench_dir / "d_latin1.imp").write_bytes(b"var x; x := 1; // \xff\n")
+        (bench_dir / "e_long.imp").write_text(
+            "var x; x := %s;" % ("1" * 5000), encoding="utf-8"
+        )
+        # a forked child under --timeout inherits the patched binding
+        monkeypatch.setattr(cli, "cegar", crash)
+        rows = run_bench(bench_dir, [Heuristic.CLASSIC], Limits(), timeout=timeout)
+        assert [r["verdict"] for r in rows] == ["UNKNOWN(internal-error)"] * 2 + [
+            "UNKNOWN(error)"
+        ] * 3
+
+    def test_child_without_result_is_internal_error(self, bench_dir, monkeypatch):
+        def die(*args):
+            os._exit(1)  # only ever called in the forked child
+
+        monkeypatch.setattr(cli, "cegar", die)
+        rows = run_bench(bench_dir, [Heuristic.CLASSIC], Limits(), timeout=20.0)
+        assert [r["verdict"] for r in rows] == ["UNKNOWN(internal-error)"] * 2
 
     def test_missing_dir_exit_three(self, tmp_path, capsys):
         code = main(["bench", str(tmp_path / "nope")])

@@ -51,6 +51,34 @@ class TestParse:
             parse("var x;\nx : = 1;")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            ("var x;\nx : = 1;", "2:3: unexpected character ':'"),
+            ("var x; // c\nx := 1 // trailing", "2:19: expected ';', found '<eof>'"),
+            ("var x;\r\nx := 1;\r\n\tx := #;", "3:7: unexpected character '#'"),
+            ("var x, x;", "1:8: duplicate declaration of 'x'"),
+            ("var x;\n  x := y;", "2:8: undeclared variable 'y'"),
+            ("var x;\nif (x == 1) {\n  x := 2;\n", "4:1: unterminated block"),
+            ("var x;\nassume((x < 1) == 1);", "2:11: expected ')', found '<'"),
+        ],
+    )
+    def test_error_message_and_position(self, source, error):
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert str(exc.value) == error
+        line, col, _ = error.split(":", 2)
+        assert (exc.value.line, exc.value.col) == (int(line), int(col))
+
+    def test_longest_convertible_literal(self):
+        digits = "9" * 4300
+        assert parse("var x; x := %s;" % digits).body[0].expr == IntLit(int(digits))
+
+    def test_literal_too_long(self):
+        with pytest.raises(ParseError) as exc:
+            parse("var x;\nx := -%s;" % ("9" * 5000))
+        assert str(exc.value) == "2:7: integer literal too long"
+
     def test_flag_loop_program(self):
         program = parse(FIG2)
         assert program.variables == ("b", "i")
