@@ -196,16 +196,12 @@ def _bench_run(
 def _bench_one(
     task: FsPath, heuristic: Heuristic, limits: Limits, timeout: Optional[float]
 ) -> dict:
-    if timeout is None:
-        verdict, stats = _bench_run(task, heuristic, limits)
-    else:
-        try:
-            verdict, stats = _run_with_timeout(
-                lambda: _bench_run(task, heuristic, limits), timeout
-            )
-        except Exception as exc:  # the child died without a result
-            log.warning("task %s failed: %s", task.name, exc)
-            verdict, stats = Verdict("UNKNOWN", reason="internal-error"), RunStats()
+    run = lambda: _bench_run(task, heuristic, limits)
+    try:
+        verdict, stats = run() if timeout is None else _run_with_timeout(run, timeout)
+    except Exception as exc:  # the runner failed or the child died without a result
+        log.warning("task %s failed: %s", task.name, exc)
+        verdict, stats = Verdict("UNKNOWN", reason="internal-error"), RunStats()
     return {
         "task": task.name,
         "heuristic": heuristic.value,

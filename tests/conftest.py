@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from prefixselect.engine import Limits, cegar
@@ -15,6 +17,14 @@ from prefixselect.lang import (
 from prefixselect.generators import random_program
 from prefixselect.paths import Path
 from prefixselect.refinement import Heuristic
+
+# the most digits int() converts from a string; 0 means no limit, as on
+# Python 3.10.0-3.10.6, and PYTHONINTMAXSTRDIGITS or -X int_max_str_digits
+# change it
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    INT_DIGITS == 0, reason="int() converts literals of any length"
+)
 
 # the frozen corpus seed: yields >= 500 spurious paths over 80 programs and
 # at least one first spurious path with two or more sliced prefixes

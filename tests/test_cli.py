@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from conftest import INT_DIGITS, needs_digit_limit
 from prefixselect import cli
 from prefixselect.cli import (
     BENCH_COLUMNS,
@@ -97,9 +98,10 @@ class TestVerify:
         assert captured.err.startswith("error:") and "utf-8" in captured.err
         assert "RESULT" not in captured.out
 
+    @needs_digit_limit
     def test_literal_too_long_exit_three(self, tmp_path, capsys):
         p = tmp_path / "long.imp"
-        p.write_text("var x; x := %s;" % ("1" * 5000), encoding="utf-8")
+        p.write_text("var x; x := %s;" % ("1" * (INT_DIGITS + 1)), encoding="utf-8")
         code = main(["verify", str(p)])
         captured = capsys.readouterr()
         assert code == 3
@@ -409,15 +411,18 @@ class TestBench:
         # input errors: undeclared variable, not UTF-8, literal too long
         (bench_dir / "c_undeclared.imp").write_text("var x; x := y;", encoding="utf-8")
         (bench_dir / "d_latin1.imp").write_bytes(b"var x; x := 1; // \xff\n")
-        (bench_dir / "e_long.imp").write_text(
-            "var x; x := %s;" % ("1" * 5000), encoding="utf-8"
-        )
+        input_errors = 2
+        if INT_DIGITS:
+            (bench_dir / "e_long.imp").write_text(
+                "var x; x := %s;" % ("1" * (INT_DIGITS + 1)), encoding="utf-8"
+            )
+            input_errors += 1
         # a forked child under --timeout inherits the patched binding
         monkeypatch.setattr(cli, "cegar", crash)
         rows = run_bench(bench_dir, [Heuristic.CLASSIC], Limits(), timeout=timeout)
         assert [r["verdict"] for r in rows] == ["UNKNOWN(internal-error)"] * 2 + [
             "UNKNOWN(error)"
-        ] * 3
+        ] * input_errors
 
     def test_child_without_result_is_internal_error(self, bench_dir, monkeypatch):
         def die(*args):

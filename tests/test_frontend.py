@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import INT_DIGITS, needs_digit_limit
 from prefixselect.frontend import (
     MAX_DEPTH,
     ParseError,
@@ -71,12 +72,13 @@ class TestParse:
         assert (exc.value.line, exc.value.col) == (int(line), int(col))
 
     def test_longest_convertible_literal(self):
-        digits = "9" * 4300
+        digits = "9" * (INT_DIGITS or 4300)
         assert parse("var x; x := %s;" % digits).body[0].expr == IntLit(int(digits))
 
+    @needs_digit_limit
     def test_literal_too_long(self):
         with pytest.raises(ParseError) as exc:
-            parse("var x;\nx := -%s;" % ("9" * 5000))
+            parse("var x;\nx := -%s;" % ("9" * (INT_DIGITS + 1)))
         assert str(exc.value) == "2:7: integer literal too long"
 
     def test_flag_loop_program(self):
