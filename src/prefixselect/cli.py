@@ -6,11 +6,19 @@ and an integer literal too long to convert), 4 internal error (the checker
 crashed; there is no verdict).  ``bench`` reports a task with an input error
 as ``UNKNOWN(error)`` and a crashed run as ``UNKNOWN(internal-error)``.  A
 usage error (unknown option or choice, a ``--timeout`` that is not a number
-of seconds in (0, 1e6], a ``--jobs`` or ``--max-states`` below 1, a
-negative ``--max-refinements``, missing argument) exits 3 for every
-subcommand, never 2; so does an unknown or repeated name in
-``bench --heuristics``.  ``verify --format json`` prints the ``RunStats``
-fields plus ``verdict``, ``heuristic`` and ``witness``.
+of seconds in (0, 1e6], a ``--jobs``, ``--max-states``, ``gen fig2 --n`` or
+``gen random --count`` below 1, a negative ``--max-refinements``, missing
+argument) exits 3 for every subcommand, never 2; so does an unknown or
+repeated name in ``bench --heuristics``.  ``verify --format json`` prints the
+``RunStats`` fields plus ``verdict``, ``heuristic`` and ``witness``.
+
+``--timeout`` bounds the wall time of each CEGAR run, not counting parsing.
+The run checks it in process, before each state it explores and before each
+interpolation cut, and ends with UNKNOWN(timeout) and the counters it has
+reached; like the verdict, those counters depend on timing.  ``bench --jobs
+N`` runs N tasks on threads, so with N > 1 a task's wall time, and what its
+timeout allows, includes waiting for the interpreter lock.
+
 Bench output is deterministic by default; measured durations go into the CSV
 only with --timings, because wall-clock noise would break byte-stable output
 (the JSON stats from ``verify`` always carry real durations).
@@ -24,10 +32,8 @@ import dataclasses
 import io
 import json
 import logging
-import multiprocessing
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path as FsPath
 from typing import Callable, Optional
@@ -56,54 +62,10 @@ INPUT_ERRORS = (OSError, UnicodeDecodeError, ParseError)
 
 
 def _run_file(
-    path: str, heuristic: Heuristic, limits: Limits
+    path: str, heuristic: Heuristic, limits: Limits, timeout: Optional[float] = None
 ) -> tuple[Verdict, RunStats]:
     cfa = load_cfa(FsPath(path).read_text(encoding="utf-8"))
-    return cegar(cfa, heuristic, limits)
-
-
-Run = Callable[[], tuple[Verdict, RunStats]]
-
-
-def _child_run(conn, run: Run) -> None:
-    try:
-        verdict, stats = run()
-        conn.send(("ok", verdict, stats))
-    except Exception as exc:  # re-raised in the parent as RuntimeError
-        log.debug("run failed", exc_info=True)
-        conn.send(("error", str(exc), None))
-    finally:
-        conn.close()
-
-
-def _run_with_timeout(run: Run, timeout: float) -> tuple[Verdict, RunStats]:
-    """Call ``run`` in a forked child; UNKNOWN(timeout) if no result arrives
-    within ``timeout`` seconds, with the elapsed wall time as its only stat.
-
-    The result is read before the child is joined: a result larger than the
-    pipe buffer keeps the child blocked in ``send`` until the parent reads it.
-    """
-    start = time.perf_counter()
-    ctx = multiprocessing.get_context("fork")
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_child_run, args=(child_conn, run))
-    proc.start()
-    child_conn.close()
-    with parent_conn:
-        if not parent_conn.poll(timeout):
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            proc.terminate()
-            proc.join()
-            return Verdict("UNKNOWN", reason="timeout"), RunStats(duration_ms=elapsed_ms)
-        try:
-            status, payload, stats = parent_conn.recv()
-        except EOFError:
-            raise RuntimeError("verification process died without a result") from None
-        finally:
-            proc.join()
-    if status == "ok":
-        return payload, stats
-    raise RuntimeError(payload)
+    return cegar(cfa, heuristic, limits, timeout=timeout)
 
 
 # --- verify -------------------------------------------------------------------
@@ -135,12 +97,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("error: %s" % exc, file=sys.stderr)
             return 3
     try:
-        if args.timeout is not None:
-            verdict, stats = _run_with_timeout(
-                lambda: cegar(cfa, heuristic, limits), args.timeout
-            )
-        else:
-            verdict, stats = cegar(cfa, heuristic, limits)
+        verdict, stats = cegar(cfa, heuristic, limits, timeout=args.timeout)
     except Exception as exc:
         log.debug("verification failed", exc_info=True)
         print("internal error: %s" % exc, file=sys.stderr)
@@ -180,28 +137,18 @@ BENCH_COLUMNS = [
 ]
 
 
-def _bench_run(
-    task: FsPath, heuristic: Heuristic, limits: Limits
-) -> tuple[Verdict, RunStats]:
-    """``_run_file``, with a failure turned into a verdict: UNKNOWN(error) for
-    an input error, UNKNOWN(internal-error) for a crash of the checker."""
+def _bench_row(
+    task: FsPath, heuristic: Heuristic, limits: Limits, timeout: Optional[float]
+) -> dict:
+    """Run one task into a bench row; a failure becomes a verdict:
+    UNKNOWN(error) for an input error, UNKNOWN(internal-error) for a crash of
+    the checker."""
     try:
-        return _run_file(str(task), heuristic, limits)
+        verdict, stats = _run_file(str(task), heuristic, limits, timeout)
     except Exception as exc:
         log.warning("task %s failed: %s", task.name, exc)
         reason = "error" if isinstance(exc, INPUT_ERRORS) else "internal-error"
-        return Verdict("UNKNOWN", reason=reason), RunStats()
-
-
-def _bench_one(
-    task: FsPath, heuristic: Heuristic, limits: Limits, timeout: Optional[float]
-) -> dict:
-    run = lambda: _bench_run(task, heuristic, limits)
-    try:
-        verdict, stats = run() if timeout is None else _run_with_timeout(run, timeout)
-    except Exception as exc:  # the runner failed or the child died without a result
-        log.warning("task %s failed: %s", task.name, exc)
-        verdict, stats = Verdict("UNKNOWN", reason="internal-error"), RunStats()
+        verdict, stats = Verdict("UNKNOWN", reason=reason), RunStats()
     return {
         "task": task.name,
         "heuristic": heuristic.value,
@@ -227,10 +174,10 @@ def run_bench(
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(
-                pool.map(lambda p: _bench_one(p[0], p[1], limits, timeout), pairs)
+                pool.map(lambda p: _bench_row(p[0], p[1], limits, timeout), pairs)
             )
     else:
-        rows = [_bench_one(t, h, limits, timeout) for t, h in pairs]
+        rows = [_bench_row(t, h, limits, timeout) for t, h in pairs]
     return rows
 
 
@@ -297,9 +244,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_fig2(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return 3
     try:
         path = generate_fig2_family(args.n, args.out)
     except OSError as exc:
@@ -310,9 +254,6 @@ def cmd_gen_fig2(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_random(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return 3
     try:
         paths = generate_random_programs(args.seed, args.count, args.out)
     except OSError as exc:
@@ -335,8 +276,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, "%s: error: %s\n" % (self.prog, message))
 
 
-#: Longest ``--timeout``.  ``Connection.poll`` waits in whole milliseconds
-#: held in a C int, so it overflows past about 24.8 days (and on ``inf``).
+#: Longest ``--timeout``, about 11.6 days.  ``inf`` and ``nan`` would give a
+#: deadline that never passes, so a run would have no limit while the usage
+#: claims one; past the bound a limit means nothing in practice.
 MAX_TIMEOUT_S = 1e6
 
 
@@ -408,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = gen.add_subparsers(dest="generator", required=True)
 
     fig2 = gen_sub.add_parser("fig2", help="flag/loop family program")
-    fig2.add_argument("--n", type=int, required=True)
+    fig2.add_argument("--n", type=_int_at_least(1), required=True)
     fig2.add_argument("--out", required=True)
     fig2.set_defaults(func=cmd_gen_fig2)
 
     rnd = gen_sub.add_parser("random", help="random program corpus")
     rnd.add_argument("--seed", type=int, required=True)
-    rnd.add_argument("--count", type=int, required=True)
+    rnd.add_argument("--count", type=_int_at_least(1), required=True)
     rnd.add_argument("--out", required=True)
     rnd.set_defaults(func=cmd_gen_random)
 

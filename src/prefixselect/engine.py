@@ -19,6 +19,7 @@ from operator import itemgetter
 from typing import Callable, Collection, Mapping, Optional
 
 from .frontend import ControlFlowAutomaton
+from .interpolation import LimitReached
 from .paths import Path, is_feasible
 from .refinement import (
     Heuristic,
@@ -180,24 +181,23 @@ def _projection(domain: frozenset[str]) -> Callable[[Mapping[str, int]], object]
     return itemgetter(*sorted(domain))
 
 
-class StateLimitReached(Exception):
-    pass
-
-
 def reach(
     cfa: ControlFlowAutomaton,
     precision: Precision,
     max_states: int,
     stats: Optional[RunStats] = None,
     reached: Optional[ReachedSet] = None,
+    deadline: Optional[float] = None,
 ) -> tuple[ReachedSet, bool]:
     """Explore abstract states under a precision until the error location is
     reached or the frontier empties.
 
     ``reached``, if given, is a set that ``ReachedSet.prune`` left valid under
     ``precision``; exploration continues from its waitlist, and from a fresh
-    root only if the root was pruned.  Raises StateLimitReached when the set
-    would hold more than max_states states, kept and new together.
+    root only if the root was pruned.  Raises LimitReached("state-limit")
+    when the set would hold more than max_states states, kept and new
+    together, and LimitReached("timeout") if ``time.perf_counter()`` has
+    passed ``deadline`` before a state is expanded.
     """
     if reached is None:
         reached = ReachedSet()
@@ -210,6 +210,8 @@ def reach(
             reached.error_state = root
             return reached, True
     while reached.waitlist:
+        if deadline is not None and time.perf_counter() > deadline:
+            raise LimitReached("timeout")
         state = reached.waitlist.popleft()
         state.dropped = False
         for op, dst in cfa.out_edges(state.loc):
@@ -223,7 +225,7 @@ def reach(
                 continue
             successor = State(dst, value, state, op)
             if reached.size >= max_states:
-                raise StateLimitReached()
+                raise LimitReached("state-limit")
             reached.add(successor)
             if stats is not None:
                 stats.states_created += 1
@@ -255,6 +257,7 @@ def cegar(
     heuristic: Heuristic = Heuristic.DOMAIN_TYPE,
     limits: Limits = Limits(),
     on_refinement: Optional[Callable[[Path, RefinementResult], None]] = None,
+    timeout: Optional[float] = None,
 ) -> tuple[Verdict, RunStats]:
     """CEGAR loop with lazy restart after each refinement.
 
@@ -265,9 +268,14 @@ def cegar(
     explore again from the root, the reached set is pruned to the states that
     avoid every location whose tracked set grew, and ``reach`` resumes from
     it; the fixpoint is the same, only the exploration order differs.
+
+    ``timeout`` bounds the run's wall time in seconds: ``reach`` checks it
+    before each state it expands, interpolation before each cut.  A run that
+    hits it or the state limit returns UNKNOWN with the counters so far.
     """
     stats = RunStats()
     start = time.perf_counter()
+    deadline = None if timeout is None else start + timeout
     table = classify_domain_types(cfa)
     live = live_locations(cfa)
     precision = Precision()
@@ -275,7 +283,9 @@ def cegar(
     reached: Optional[ReachedSet] = None
     try:
         while True:
-            reached, hit = reach(cfa, precision, limits.max_states, stats, reached)
+            reached, hit = reach(
+                cfa, precision, limits.max_states, stats, reached, deadline
+            )
             if not hit:
                 verdict = Verdict("TRUE")
                 break
@@ -286,7 +296,7 @@ def cegar(
             if stats.refinements >= limits.max_refinements:
                 verdict = Verdict("UNKNOWN", reason="refinement-limit")
                 break
-            result = refine_selecting(sigma, heuristic, table, cfa.variables)
+            result = refine_selecting(sigma, heuristic, table, cfa.variables, deadline)
             widened = widen_to_live_ranges(result.precision, cfa, live)
             if not check_refinement_progress(sigma, widened):
                 raise RefinementProgressError(
@@ -316,8 +326,8 @@ def cegar(
                 result.chosen_score,
                 precision.total_size(),
             )
-    except StateLimitReached:
-        verdict = Verdict("UNKNOWN", reason="state-limit")
+    except LimitReached as exc:
+        verdict = Verdict("UNKNOWN", reason=exc.reason)
     stats.precision_size = precision.total_size()
     stats.duration_ms = (time.perf_counter() - start) * 1000.0
     return verdict, stats

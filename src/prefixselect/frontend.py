@@ -15,7 +15,7 @@ before the statement list; integers are arbitrary precision, but a literal
 with more digits than ``int()`` converts (4300 by default) is a ParseError
 ("integer literal too long").  An expression or predicate tree deeper than
 ``MAX_DEPTH`` is a ParseError ("nested too deeply"): evaluating, hashing and
-pickling such trees recurses once per level.
+rendering such trees recurses once per level.
 
 The tokenizer turns the source into ``(text, offset)`` pairs, ending with
 ``("", len(source))``; the parser tests token text alone.  A token that
@@ -61,9 +61,10 @@ from .lang import (
 )
 
 
-#: Deepest expression or predicate tree a statement may hold.  Pickling a
-#: verdict for ``--timeout`` fails from about 330 levels, and evaluation
-#: from about 1000; the bound keeps clear of both.
+#: Deepest expression or predicate tree a statement may hold.  Evaluating,
+#: hashing and rendering a tree recurse once per level and exhaust Python's
+#: default recursion limit from about 1000 levels; the bound keeps clear of
+#: that, also for a checker called from a deep stack.
 MAX_DEPTH = 256
 
 _Tree = TypeVar("_Tree", Expr, Pred)
@@ -76,6 +77,11 @@ class ParseError(ValueError):
         super().__init__("%d:%d: %s" % (line, col, message))
         self.line = line
         self.col = col
+
+
+class _TokenError(ParseError):
+    """An undeclared name or an over-long literal: an error under every parse
+    of the tokens around it, so ``pred_atom`` does not backtrack over it."""
 
 
 # whitespace and comments match no group and are dropped; any other
@@ -138,10 +144,10 @@ class _Parser:
         the start of the source would make parsing quadratic."""
         return [m.start() for m in re.finditer("\n", self.source)]
 
-    def _error_at(self, message: str, offset: int) -> ParseError:
+    def _error_at(self, message: str, offset: int, kind=ParseError) -> ParseError:
         before = bisect_left(self._newlines, offset)
         line_start = self._newlines[before - 1] + 1 if before else 0
-        return ParseError(message, before + 1, offset - line_start + 1)
+        return kind(message, before + 1, offset - line_start + 1)
 
     def _error(self, message: str) -> ParseError:
         return self._error_at(message, self.tokens[self.i][1])
@@ -169,7 +175,7 @@ class _Parser:
     def _check_declared(self, token: tuple[str, int]) -> str:
         name, offset = token
         if name not in self.declared:
-            raise self._error_at("undeclared variable %r" % name, offset)
+            raise self._error_at("undeclared variable %r" % name, offset, _TokenError)
         return name
 
     def bounded(self, parse: Callable[[], _Tree]) -> _Tree:
@@ -274,7 +280,9 @@ class _Parser:
             try:
                 return IntLit(int(text))
             except ValueError:  # more digits than int() converts
-                raise self._error_at("integer literal too long", token[1]) from None
+                raise self._error_at(
+                    "integer literal too long", token[1], _TokenError
+                ) from None
         if _is_name(text):
             self.i += 1
             return VarRef(self._check_declared(token))
@@ -304,6 +312,7 @@ class _Parser:
         if self.text == "(":
             # could be a parenthesized predicate or a parenthesized expression
             # starting a comparison; try predicate first, fall back to expr
+            # on a syntax error
             save = self.i
             self.i += 1
             try:
@@ -312,6 +321,8 @@ class _Parser:
                 if self.text in _COMPARISONS:
                     raise self._error("comparison of predicates")
                 return inner
+            except _TokenError:
+                raise
             except ParseError:
                 self.i = save
         left = self.expr()

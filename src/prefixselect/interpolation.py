@@ -17,12 +17,22 @@ plain replay would compute; the engine itself is unchanged.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .lang import Assume, Comparison, IntLit, Operation, VarRef, op_variables
 from .paths import Path, Suffix, SuffixReplay, sp_seq
 from .values import BOTTOM, TOP, AbstractAssignment, Assignment, implies
+
+
+class LimitReached(Exception):
+    """A run hit one of its limits; ``reason`` is the UNKNOWN reason
+    (``"timeout"`` or ``"state-limit"``)."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
 
 
 class InterpolationError(ValueError):
@@ -101,7 +111,7 @@ class InterpolantSequence:
 
 
 def interpolant_sequence(
-    path: Path, var_order: Sequence[str]
+    path: Path, var_order: Sequence[str], deadline: Optional[float] = None
 ) -> tuple[InterpolantSequence, int]:
     """Inductive interpolation along an infeasible path.
 
@@ -116,6 +126,9 @@ def interpolant_sequence(
     same (same shared-variable filter, same lexicographic elimination order),
     hence the interpolants are the same as interpolating each cut on its own.
     The memo is freed when this call returns.
+
+    Raises LimitReached("timeout") if ``time.perf_counter()`` has passed
+    ``deadline`` before a cut.
     """
     replay = SuffixReplay(path.ops)
     ops = replay.ops
@@ -124,6 +137,8 @@ def interpolant_sequence(
     entries = []
     calls = 0
     for i in range(len(ops) - 1):
+        if deadline is not None and time.perf_counter() > deadline:
+            raise LimitReached("timeout")
         gamma_minus = interpolant_to_constraints(gamma, var_order) + (ops[i],)
         gamma = interpolate(gamma_minus, Suffix(replay, i + 1))
         calls += 1

@@ -386,24 +386,26 @@ def refine_selecting(
     heuristic: Heuristic,
     table: Mapping[str, DomainType],
     var_order: Sequence[str],
+    deadline: Optional[float] = None,
 ) -> RefinementResult:
     """Selection-based refinement over all sliced prefixes.
 
     Interpolant sequences are computed for every prefix before choosing, even
     for heuristics that ignore them, so interpolation effort is comparable
     across heuristics.  The classic heuristic skips selection and interpolates
-    the whole path.  Raises FeasiblePathError on a feasible path.
+    the whole path.  Raises FeasiblePathError on a feasible path, and
+    LimitReached("timeout") once ``deadline`` passes during interpolation.
     """
     if heuristic is Heuristic.CLASSIC:
         if is_feasible(path):
             raise FeasiblePathError("refinement requires an infeasible path")
-        seq, calls = interpolant_sequence(path, var_order)
+        seq, calls = interpolant_sequence(path, var_order, deadline)
         return RefinementResult(_precision_of(seq), 0, None, None, calls)
     prefixes = extract_sliced_prefixes(path)
     sequences = []
     calls = 0
     for prefix in prefixes:
-        seq, n = interpolant_sequence(prefix.path, var_order)
+        seq, n = interpolant_sequence(prefix.path, var_order, deadline)
         sequences.append(seq)
         calls += n
     chosen = choose_sliced_prefix(prefixes, sequences, heuristic, table)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +10,8 @@ from prefixselect import engine
 from prefixselect.engine import (
     Limits,
     ReachedSet,
+    RunStats,
     State,
-    StateLimitReached,
     Verdict,
     cegar,
     extract_error_path,
@@ -18,6 +19,7 @@ from prefixselect.engine import (
 )
 from prefixselect.frontend import load_cfa
 from prefixselect.generators import fig2_program, random_program
+from prefixselect.interpolation import LimitReached
 from prefixselect.lang import Assign, Assume, IntLit, is_noop
 from prefixselect.paths import Path, is_feasible, sp_seq
 from prefixselect.refinement import Heuristic, Precision
@@ -66,8 +68,17 @@ class TestReach:
 
     def test_state_limit(self):
         cfa = load_cfa(fig2_program(1000))
-        with pytest.raises(StateLimitReached):
+        with pytest.raises(LimitReached) as exc:
             reach(cfa, full_precision(cfa, ["b", "i"]), 50)
+        assert exc.value.reason == "state-limit"
+
+    def test_deadline_passed(self):
+        cfa = load_cfa(BRANCH_PROGRAM)
+        stats = RunStats()
+        with pytest.raises(LimitReached) as exc:
+            reach(cfa, Precision(), 10_000, stats, None, time.perf_counter() - 1.0)
+        assert exc.value.reason == "timeout"
+        assert stats.states_created == 1  # the root, added before the first expansion
 
     def test_no_error_state_is_contract_error(self):
         cfa = load_cfa("var x; x := 1;")
@@ -349,6 +360,13 @@ class TestCegar:
         cfa = load_cfa(fig2_program(5000))
         verdict, _ = cegar(cfa, Heuristic.PREFIX_SHORTEST, Limits(200, 1000))
         assert verdict.kind == "UNKNOWN" and verdict.reason == "state-limit"
+
+    def test_timeout_keeps_partial_stats(self):
+        cfa = load_cfa(fig2_program(10))
+        verdict, stats = cegar(cfa, Heuristic.PREFIX_SHORTEST, timeout=1e-9)
+        assert verdict.render() == "UNKNOWN(timeout)"
+        assert stats.states_created >= 1
+        assert stats.duration_ms > 0.0
 
     def test_deterministic(self):
         cfa = load_cfa(random_program(11, 3))

@@ -62,6 +62,13 @@ class TestParse:
             ("var x;\n  x := y;", "2:8: undeclared variable 'y'"),
             ("var x;\nif (x == 1) {\n  x := 2;\n", "4:1: unterminated block"),
             ("var x;\nassume((x < 1) == 1);", "2:11: expected ')', found '<'"),
+            ("var x; assume((x == y));", "1:21: undeclared variable 'y'"),
+            pytest.param(
+                "var x; assume((x == %s));" % ("9" * (INT_DIGITS + 1)),
+                "1:21: integer literal too long",
+                marks=needs_digit_limit,
+                id="long-literal-in-parenthesized-comparison",
+            ),
         ],
     )
     def test_error_message_and_position(self, source, error):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from conftest import assign, assign_expr, assume_cmp
@@ -10,6 +12,7 @@ from prefixselect.generators import fig2_program
 from prefixselect.interpolation import (
     InterpolantSequence,
     InterpolationError,
+    LimitReached,
     check_interpolant,
     interpolant_sequence,
     interpolant_to_constraints,
@@ -158,6 +161,12 @@ class TestSequences:
         path = Path(((assign("x", 1), 1), (assume_cmp("x", "==", 1), 2), (assign("y", 0), 3)))
         with pytest.raises(InterpolationError, match="not contradicting"):
             interpolant_sequence(path, ["x", "y"])
+
+    def test_deadline_passed(self, spurious_sample):
+        path, _, variables = spurious_sample[0]
+        with pytest.raises(LimitReached) as exc:
+            interpolant_sequence(path, variables, time.perf_counter() - 1.0)
+        assert exc.value.reason == "timeout"
 
     def test_sp_calls_grow_linearly(self, monkeypatch):
         # the first sliced prefix of the fig2 error path with i tracked
