@@ -17,15 +17,7 @@ from .interpolation import (
     interpolant_to_constraints,
     interpolate,
 )
-from .paths import (
-    FeasiblePathError,
-    Path,
-    SlicedPrefix,
-    extract_sliced_prefixes,
-    is_feasible,
-    sp_path,
-    sp_seq,
-)
+from .paths import Path, SlicedPrefix, extract_sliced_prefixes, sp_seq
 from .refinement import (
     DomainType,
     Heuristic,

@@ -13,11 +13,12 @@ repeated name in ``bench --heuristics``.  ``verify --format json`` prints the
 ``RunStats`` fields plus ``verdict``, ``heuristic`` and ``witness``.
 
 ``--timeout`` bounds the wall time of each CEGAR run, not counting parsing.
-The run checks it in process, before each state it explores and before each
-interpolation cut, and ends with UNKNOWN(timeout) and the counters it has
-reached; like the verdict, those counters depend on timing.  ``bench --jobs
-N`` runs N tasks on threads, so with N > 1 a task's wall time, and what its
-timeout allows, includes waiting for the interpreter lock.
+The run checks it in process, before each state it explores, before each
+interpolation cut and every 4096 steps of a whole-path pass, and ends with
+UNKNOWN(timeout) and the counters it has reached; like the verdict, those
+counters depend on timing.  ``bench --jobs N`` runs N tasks on threads, so
+with N > 1 a task's wall time, and what its timeout allows, includes waiting
+for the interpreter lock.
 
 Bench output is deterministic by default; measured durations go into the CSV
 only with --timings, because wall-clock noise would break byte-stable output

@@ -19,8 +19,7 @@ from operator import itemgetter
 from typing import Callable, Collection, Mapping, Optional
 
 from .frontend import ControlFlowAutomaton
-from .interpolation import LimitReached
-from .paths import Path, is_feasible
+from .paths import LimitReached, Path, check_deadline, extract_sliced_prefixes
 from .refinement import (
     Heuristic,
     Precision,
@@ -196,8 +195,8 @@ def reach(
     ``precision``; exploration continues from its waitlist, and from a fresh
     root only if the root was pruned.  Raises LimitReached("state-limit")
     when the set would hold more than max_states states, kept and new
-    together, and LimitReached("timeout") if ``time.perf_counter()`` has
-    passed ``deadline`` before a state is expanded.
+    together, and LimitReached("timeout") if ``deadline`` has passed before
+    a state is expanded.
     """
     if reached is None:
         reached = ReachedSet()
@@ -210,8 +209,7 @@ def reach(
             reached.error_state = root
             return reached, True
     while reached.waitlist:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise LimitReached("timeout")
+        check_deadline(deadline)
         state = reached.waitlist.popleft()
         state.dropped = False
         for op, dst in cfa.out_edges(state.loc):
@@ -235,13 +233,14 @@ def reach(
     return reached, False
 
 
-def extract_error_path(reached: ReachedSet) -> Path:
+def extract_error_path(reached: ReachedSet, deadline: Optional[float] = None) -> Path:
     """Walk the predecessor chain from the error state back to the root."""
     state = reached.error_state
     if state is None:
         raise ValueError("reached set contains no error state")
     steps = []
     while state.parent is not None:
+        check_deadline(deadline, len(steps))
         steps.append((state.op_in, state.loc))
         state = state.parent
     steps.reverse()
@@ -261,17 +260,20 @@ def cegar(
 ) -> tuple[Verdict, RunStats]:
     """CEGAR loop with lazy restart after each refinement.
 
-    Starts from the empty precision.  On each spurious counterexample the
-    refinement's per-path precision is widened to the live ranges of its
-    variables (``widen_to_live_ranges``), checked to exclude that path, and
-    unioned pointwise into the running precision.  Where a full restart would
-    explore again from the root, the reached set is pruned to the states that
-    avoid every location whose tracked set grew, and ``reach`` resumes from
-    it; the fixpoint is the same, only the exploration order differs.
+    Starts from the empty precision.  Each counterexample is swept once for
+    its sliced prefixes; it is feasible, and the verdict FALSE, if there are
+    none.  Otherwise the refinement's per-path precision is widened to the
+    live ranges of its variables (``widen_to_live_ranges``), checked to
+    exclude that path, and unioned pointwise into the running precision.
+    Where a full restart would explore again from the root, the reached set
+    is pruned to the states that avoid every location whose tracked set grew,
+    and ``reach`` resumes from it; the fixpoint is the same, only the
+    exploration order differs.
 
     ``timeout`` bounds the run's wall time in seconds: ``reach`` checks it
-    before each state it expands, interpolation before each cut.  A run that
-    hits it or the state limit returns UNKNOWN with the counters so far.
+    before each state it expands, interpolation before each cut, and each
+    whole-path pass every ``paths.CLOCK_STRIDE`` steps.  A run that hits it
+    or the state limit returns UNKNOWN with the counters so far.
     """
     stats = RunStats()
     start = time.perf_counter()
@@ -289,16 +291,17 @@ def cegar(
             if not hit:
                 verdict = Verdict("TRUE")
                 break
-            sigma = extract_error_path(reached)
-            if is_feasible(sigma):
+            sigma = extract_error_path(reached, deadline)
+            prefixes = extract_sliced_prefixes(sigma, deadline)
+            if not prefixes:
                 verdict = Verdict("FALSE", witness=sigma)
                 break
             if stats.refinements >= limits.max_refinements:
                 verdict = Verdict("UNKNOWN", reason="refinement-limit")
                 break
-            result = refine_selecting(sigma, heuristic, table, cfa.variables, deadline)
+            result = refine_selecting(prefixes, heuristic, table, cfa.variables, deadline)
             widened = widen_to_live_ranges(result.precision, cfa, live)
-            if not check_refinement_progress(sigma, widened):
+            if not check_refinement_progress(sigma, widened, deadline):
                 raise RefinementProgressError(
                     "refined precision does not exclude the refuted path"
                 )

@@ -17,22 +17,12 @@ plain replay would compute; the engine itself is unchanged.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lang import Assume, Comparison, IntLit, Operation, VarRef, op_variables
-from .paths import Path, Suffix, SuffixReplay, sp_seq
+from .paths import Path, Suffix, SuffixReplay, check_deadline, sp_seq
 from .values import BOTTOM, TOP, AbstractAssignment, Assignment, implies
-
-
-class LimitReached(Exception):
-    """A run hit one of its limits; ``reason`` is the UNKNOWN reason
-    (``"timeout"`` or ``"state-limit"``)."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 class InterpolationError(ValueError):
@@ -127,18 +117,17 @@ def interpolant_sequence(
     hence the interpolants are the same as interpolating each cut on its own.
     The memo is freed when this call returns.
 
-    Raises LimitReached("timeout") if ``time.perf_counter()`` has passed
-    ``deadline`` before a cut.
+    Raises LimitReached("timeout") once ``deadline`` passes: it is checked
+    before each cut and along the replay's walks.
     """
-    replay = SuffixReplay(path.ops)
+    replay = SuffixReplay(path.ops, deadline)
     ops = replay.ops
     locations = path.locations
     gamma: AbstractAssignment = TOP
     entries = []
     calls = 0
     for i in range(len(ops) - 1):
-        if deadline is not None and time.perf_counter() > deadline:
-            raise LimitReached("timeout")
+        check_deadline(deadline)
         gamma_minus = interpolant_to_constraints(gamma, var_order) + (ops[i],)
         gamma = interpolate(gamma_minus, Suffix(replay, i + 1))
         calls += 1

@@ -1,9 +1,10 @@
-"""Paths, constraint sequences, feasibility, and sliced-prefix extraction.
+"""Paths, constraint sequences, sliced-prefix extraction, and the run deadline.
 
 A path is a sequence of (operation, location) pairs.  An infeasible path has
 one or more contradicting assume operations; each gives rise to one infeasible
 sliced prefix, extracted in a single forward sweep that keeps the running
-prefix feasible by replacing contradicting assumes with no-ops.
+prefix feasible by replacing contradicting assumes with no-ops.  A feasible
+path has none, so the sweep is also the feasibility test.
 
 ``SuffixReplay`` memoises the strongest post of every suffix of one path, for
 inductive interpolation, which replays each suffix many times.
@@ -11,15 +12,32 @@ inductive interpolation, which replays each suffix many times.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .lang import NOOP, Assume, Operation, op_variables, render_op
 from .values import BOTTOM, TOP, AbstractAssignment, Assignment, sp
 
 
-class FeasiblePathError(ValueError):
-    """Raised when sliced-prefix extraction is handed a feasible path."""
+#: Steps of a whole-path pass between two readings of the clock.
+CLOCK_STRIDE = 4096
+
+
+class LimitReached(Exception):
+    """A run hit one of its limits; ``reason`` is the UNKNOWN reason
+    (``"timeout"`` or ``"state-limit"``)."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
+def check_deadline(deadline: Optional[float], step: int = 0) -> None:
+    """Raise LimitReached("timeout") once ``deadline`` has passed, reading the
+    clock only when ``step`` is a multiple of ``CLOCK_STRIDE``."""
+    if deadline is not None and step % CLOCK_STRIDE == 0 and time.perf_counter() > deadline:
+        raise LimitReached("timeout")
 
 
 Step = tuple[Operation, int]
@@ -83,14 +101,16 @@ class SuffixReplay:
     The memo lives as long as the replay; keep one per path, not longer.
     """
 
-    __slots__ = ("ops", "variables", "_memo")
+    __slots__ = ("ops", "variables", "deadline", "_memo")
 
-    def __init__(self, ops: Sequence[Operation]):
+    def __init__(self, ops: Sequence[Operation], deadline: Optional[float] = None):
         self.ops = tuple(ops)
+        self.deadline = deadline
         # variables[pos] holds the variables of ops[pos:]
         suffix_vars: frozenset[str] = frozenset()
         variables = [suffix_vars]
         for op in reversed(self.ops):
+            check_deadline(deadline, len(variables))
             own = op_variables(op)
             if not own <= suffix_vars:
                 suffix_vars = suffix_vars | own
@@ -101,9 +121,10 @@ class SuffixReplay:
 
     def sp_from(self, pos: int, v: AbstractAssignment) -> AbstractAssignment:
         """``sp_seq(self.ops[pos:], v)``, through the memo."""
-        ops, memo = self.ops, self._memo
+        ops, memo, deadline = self.ops, self._memo, self.deadline
         trail = []
         while v is not BOTTOM and pos < len(ops):
+            check_deadline(deadline, pos)
             key = (pos, v)
             hit = memo.get(key)
             if hit is not None:
@@ -144,27 +165,24 @@ class Suffix(Sequence[Operation]):
         return self.replay.sp_from(self.pos, v0)
 
 
-def sp_path(path: Path, v0: AbstractAssignment = TOP) -> AbstractAssignment:
-    return sp_seq(path.ops, v0)
-
-
-def is_feasible(path: Path) -> bool:
-    return sp_path(path) is not BOTTOM
-
-
-def extract_sliced_prefixes(path: Path) -> list[SlicedPrefix]:
-    """Extract all infeasible sliced prefixes of an infeasible path, in order.
+def extract_sliced_prefixes(
+    path: Path, deadline: Optional[float] = None
+) -> list[SlicedPrefix]:
+    """All infeasible sliced prefixes of a path, in order; ``[]`` exactly
+    when the path is feasible.
 
     Sweeps the path once, maintaining an always-feasible copy: whenever the
     next pair contradicts the copy, the copy extended by that pair is emitted
     as a prefix and the pair's operation is replaced by a no-op in the copy.
-    Raises FeasiblePathError on feasible input (there would be no prefix).
+    Up to the first contradiction the copy is the path itself, so there is a
+    prefix exactly when the path's strongest post is Bottom.
     """
     prefixes: list[SlicedPrefix] = []
     feasible_steps: list[Step] = []
     replaced: set[int] = set()
     v = TOP
     for pos, (op, loc) in enumerate(path):
+        check_deadline(deadline, pos)
         v_next = sp(op, v)
         if v_next is BOTTOM:
             assert isinstance(op, Assume), "only assumes can contradict"
@@ -181,8 +199,6 @@ def extract_sliced_prefixes(path: Path) -> list[SlicedPrefix]:
         else:
             feasible_steps.append((op, loc))
             v = v_next
-    if not prefixes:
-        raise FeasiblePathError("path is feasible; no sliced prefixes exist")
     return prefixes
 
 

@@ -2,7 +2,7 @@
 
 Both strategies run the same inductive interpolation and differ only in the
 path they hand it: the classic heuristic interpolates the whole error path,
-while selection extracts all infeasible sliced prefixes, interpolates each
+while selection interpolates each of its infeasible sliced prefixes
 independently, and picks one by a heuristic.  The domain-type heuristic
 scores interpolant sequences by how expensive their variables are to track
 (booleans cheap, loop counters dear).
@@ -35,13 +35,7 @@ from .lang import (
     pred_variables,
 )
 from .interpolation import InterpolantSequence, interpolant_sequence
-from .paths import (
-    FeasiblePathError,
-    Path,
-    SlicedPrefix,
-    extract_sliced_prefixes,
-    is_feasible,
-)
+from .paths import Path, SlicedPrefix, check_deadline
 from .values import BOTTOM, TOP, AbstractAssignment, restrict, sp
 
 
@@ -382,26 +376,26 @@ def _precision_of(seq: InterpolantSequence) -> Precision:
 
 
 def refine_selecting(
-    path: Path,
+    prefixes: Sequence[SlicedPrefix],
     heuristic: Heuristic,
     table: Mapping[str, DomainType],
     var_order: Sequence[str],
     deadline: Optional[float] = None,
 ) -> RefinementResult:
-    """Selection-based refinement over all sliced prefixes.
+    """Selection-based refinement over the sliced prefixes of one path, as
+    ``extract_sliced_prefixes`` returns them.
 
     Interpolant sequences are computed for every prefix before choosing, even
     for heuristics that ignore them, so interpolation effort is comparable
     across heuristics.  The classic heuristic skips selection and interpolates
-    the whole path.  Raises FeasiblePathError on a feasible path, and
-    LimitReached("timeout") once ``deadline`` passes during interpolation.
+    the whole path, ``prefixes[0].original``.  Raises ValueError on no prefix
+    (a feasible path), and LimitReached("timeout") once ``deadline`` passes.
     """
+    if not prefixes:
+        raise ValueError("refinement requires an infeasible path")
     if heuristic is Heuristic.CLASSIC:
-        if is_feasible(path):
-            raise FeasiblePathError("refinement requires an infeasible path")
-        seq, calls = interpolant_sequence(path, var_order, deadline)
+        seq, calls = interpolant_sequence(prefixes[0].original, var_order, deadline)
         return RefinementResult(_precision_of(seq), 0, None, None, calls)
-    prefixes = extract_sliced_prefixes(path)
     sequences = []
     calls = 0
     for prefix in prefixes:
@@ -415,10 +409,14 @@ def refine_selecting(
     )
 
 
-def check_refinement_progress(path: Path, precision: Precision) -> bool:
-    """Replaying the path abstractly under the precision must hit Bottom."""
+def check_refinement_progress(
+    path: Path, precision: Precision, deadline: Optional[float] = None
+) -> bool:
+    """Replaying the path abstractly under the precision must hit Bottom.
+    Raises LimitReached("timeout") once ``deadline`` passes."""
     v: AbstractAssignment = TOP
-    for op, loc in path:
+    for pos, (op, loc) in enumerate(path):
+        check_deadline(deadline, pos)
         v = restrict(sp(op, v), precision.at(loc))
         if v is BOTTOM:
             return True

@@ -23,7 +23,7 @@ from prefixselect.interpolation import (
     interpolate,
 )
 from prefixselect.lang import NOOP, Assume
-from prefixselect.paths import Path, extract_sliced_prefixes, sp_path, sp_seq
+from prefixselect.paths import Path, extract_sliced_prefixes, sp_seq
 from prefixselect.refinement import Heuristic, check_refinement_progress
 from prefixselect.values import BOTTOM
 
@@ -137,7 +137,7 @@ def _oracle_prefixes(path: Path):
     """Brute-force reconstruction of the prefix cascade: repeatedly scan all
     truncation points for the earliest infeasible candidate, then replace its
     final assume with a no-op and continue.  Checks feasibility only through
-    sp_path, independently of the extraction sweep."""
+    sp_seq, independently of the extraction sweep."""
     steps = list(path.steps)
     replaced: list[int] = []
     found = []
@@ -151,7 +151,7 @@ def _oracle_prefixes(path: Path):
                     for pos, (op, loc) in enumerate(steps[: t + 1])
                 )
             )
-            if sp_path(candidate) is BOTTOM:
+            if sp_seq(candidate.ops) is BOTTOM:
                 hit = (t, candidate)
                 break
         if hit is None:
@@ -173,7 +173,7 @@ def test_prefix_extraction_matches_oracle(capfd, harvest500):
                 assert len(prefix.path) == last + 1
                 assert prefix.path == candidate
                 # characteristics: infeasible exactly once, at the final assume
-                assert sp_path(prefix.path) is BOTTOM
+                assert sp_seq(prefix.path.ops) is BOTTOM
                 assert isinstance(prefix.path.steps[-1][0], Assume)
                 assert sp_seq(prefix.path.ops[:-1]) is not BOTTOM
         assert time.monotonic() - started < 60.0

@@ -19,10 +19,9 @@ from prefixselect.engine import (
 )
 from prefixselect.frontend import load_cfa
 from prefixselect.generators import fig2_program, random_program
-from prefixselect.interpolation import LimitReached
 from prefixselect.lang import Assign, Assume, IntLit, is_noop
-from prefixselect.paths import Path, is_feasible, sp_seq
-from prefixselect.refinement import Heuristic, Precision
+from prefixselect.paths import LimitReached, Path, sp_seq
+from prefixselect.refinement import Heuristic, Precision, check_refinement_progress
 from prefixselect.values import BOTTOM, TOP, Assignment, restrict, sp
 
 BRANCH_PROGRAM = "var x; x := 0; if (x > 0) { error; }"
@@ -79,6 +78,22 @@ class TestReach:
             reach(cfa, Precision(), 10_000, stats, None, time.perf_counter() - 1.0)
         assert exc.value.reason == "timeout"
         assert stats.states_created == 1  # the root, added before the first expansion
+
+    def test_error_path_deadline_passed(self):
+        reached, _ = reach(load_cfa(BRANCH_PROGRAM), Precision(), 10_000)
+        with pytest.raises(LimitReached) as exc:
+            extract_error_path(reached, time.perf_counter() - 1.0)
+        assert exc.value.reason == "timeout"
+
+    def test_progress_check_deadline_passed(self):
+        cfa = load_cfa(BRANCH_PROGRAM)
+        reached, _ = reach(cfa, Precision(), 10_000)
+        path = extract_error_path(reached)
+        with pytest.raises(LimitReached) as exc:
+            check_refinement_progress(
+                path, full_precision(cfa, ["x"]), time.perf_counter() - 1.0
+            )
+        assert exc.value.reason == "timeout"
 
     def test_no_error_state_is_contract_error(self):
         cfa = load_cfa("var x; x := 1;")
@@ -343,7 +358,7 @@ class TestCegar:
         verdict, _ = cegar(cfa, Heuristic.DOMAIN_TYPE)
         assert verdict.kind == "FALSE"
         assert verdict.witness is not None
-        assert is_feasible(verdict.witness)
+        assert sp_seq(verdict.witness.ops) is not BOTTOM
         assert verdict.witness.locations[-1] == cfa.error
 
     def test_no_error_location(self):
@@ -378,6 +393,30 @@ class TestCegar:
             s2.states_created,
             s2.chosen_prefix_indices,
         )
+
+    @pytest.mark.parametrize("heuristic", list(Heuristic))
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (fig2_program(10), "TRUE"),
+            ("var x; x := nondet(); assume(x == 5); if (x == 5) { error; }", "FALSE"),
+        ],
+    )
+    def test_one_sweep_per_counterexample(self, monkeypatch, heuristic, source, expected):
+        # the sweep is the feasibility test: each refuted path is swept once,
+        # and so is the feasible path that ends the run with FALSE
+        calls = 0
+        sweep = engine.extract_sliced_prefixes
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(engine, "extract_sliced_prefixes", counted)
+        verdict, stats = cegar(load_cfa(source), heuristic)
+        assert verdict.kind == expected
+        assert calls == stats.refinements + (verdict.kind == "FALSE")
 
     @pytest.mark.parametrize("heuristic", list(Heuristic))
     def test_heuristics_agree(self, heuristic):
@@ -420,7 +459,23 @@ class TestSoundness:
         if verdict.kind == "TRUE":
             assert found is None
         elif verdict.kind == "FALSE":
-            assert is_feasible(verdict.witness)
+            assert sp_seq(verdict.witness.ops) is not BOTTOM
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize(
+    "source",
+    [
+        "var x; x := nondet(); if (x > 5) { if (x < 3) { error; } }",
+        "var x, y; y := x + 1; if (y == x) { error; }",
+    ],
+    ids=["nested-contradicting-guards", "successor-equals-self"],
+)
+def test_safe_program_is_not_false(source):
+    # both programs are safe, but an assume over an unbound value counts as
+    # satisfiable, so the checker answers FALSE on a spurious witness
+    verdict, _ = cegar(load_cfa(source), Heuristic.DOMAIN_TYPE)
+    assert verdict.kind != "FALSE"
 
 
 class TestVerdict:

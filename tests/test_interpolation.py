@@ -12,7 +12,6 @@ from prefixselect.generators import fig2_program
 from prefixselect.interpolation import (
     InterpolantSequence,
     InterpolationError,
-    LimitReached,
     check_interpolant,
     interpolant_sequence,
     interpolant_to_constraints,
@@ -20,7 +19,13 @@ from prefixselect.interpolation import (
     seq_variables,
 )
 from prefixselect.lang import Assume, Comparison, IntLit, VarRef
-from prefixselect.paths import Path, extract_sliced_prefixes, sp_seq
+from prefixselect.paths import (
+    LimitReached,
+    Path,
+    SuffixReplay,
+    extract_sliced_prefixes,
+    sp_seq,
+)
 from prefixselect.refinement import Precision
 from prefixselect.values import BOTTOM, TOP, Assignment
 
@@ -167,6 +172,24 @@ class TestSequences:
         with pytest.raises(LimitReached) as exc:
             interpolant_sequence(path, variables, time.perf_counter() - 1.0)
         assert exc.value.reason == "timeout"
+
+    def test_sweep_deadline_passed(self, spurious_sample):
+        path, _, _ = spurious_sample[0]
+        with pytest.raises(LimitReached) as exc:
+            extract_sliced_prefixes(path, time.perf_counter() - 1.0)
+        assert exc.value.reason == "timeout"
+
+    def test_replay_deadline_passed(self, spurious_sample):
+        path, _, _ = spurious_sample[0]
+        past = time.perf_counter() - 1.0
+        replay = SuffixReplay(path.ops, past)
+        with pytest.raises(LimitReached) as exc:
+            replay.sp_from(0, TOP)
+        assert exc.value.reason == "timeout"
+        # a path as long as the stride is checked while its suffix variables
+        # are computed, before any walk
+        with pytest.raises(LimitReached):
+            SuffixReplay((assign("x", 0),) * paths.CLOCK_STRIDE, past)
 
     def test_sp_calls_grow_linearly(self, monkeypatch):
         # the first sliced prefix of the fig2 error path with i tracked

@@ -5,14 +5,14 @@ import pytest
 from conftest import assign, assume_cmp, mkpath
 from prefixselect.lang import NOOP, Assume, AssignNondet, is_noop, op_variables
 from prefixselect.paths import (
-    FeasiblePathError,
+    CLOCK_STRIDE,
+    LimitReached,
     Path,
     Suffix,
     SuffixReplay,
+    check_deadline,
     extract_sliced_prefixes,
-    is_feasible,
     render_path,
-    sp_path,
     sp_seq,
 )
 from prefixselect.values import BOTTOM, TOP, Assignment
@@ -28,17 +28,17 @@ TWO_REASONS = mkpath(
 class TestSpPath:
     def test_contradiction(self):
         path = mkpath((assign("x", 0), 1), (assume_cmp("x", ">", 0), 2))
-        assert sp_path(path) is BOTTOM
+        assert sp_seq(path.ops) is BOTTOM
 
     def test_accumulates_bindings(self):
         from conftest import assign_expr
 
         path = mkpath((assign("x", 0), 1), (assign_expr("y", "x", "+", 1), 2))
-        assert sp_path(path) == Assignment({"x": 0, "y": 1})
+        assert sp_seq(path.ops) == Assignment({"x": 0, "y": 1})
 
     def test_empty_fold(self):
         v = Assignment({"x": 3})
-        assert sp_path(mkpath(), v) == v
+        assert sp_seq(mkpath().ops, v) == v
 
 
 class TestSuffixReplay:
@@ -68,15 +68,41 @@ class TestSuffixReplay:
 
 
 class TestFeasibility:
+    """The sweep is the feasibility test: a path is feasible exactly when it
+    has no sliced prefix."""
+
     def test_infeasible(self):
-        assert not is_feasible(mkpath((assign("x", 0), 1), (assume_cmp("x", ">", 0), 2)))
+        path = mkpath((assign("x", 0), 1), (assume_cmp("x", ">", 0), 2))
+        assert extract_sliced_prefixes(path) != []
 
     def test_feasible(self):
-        assert is_feasible(mkpath((assign("x", 0), 1), (assume_cmp("x", "==", 0), 2)))
+        path = mkpath((assign("x", 0), 1), (assume_cmp("x", "==", 0), 2))
+        assert extract_sliced_prefixes(path) == []
 
     def test_unknown_assume_is_satisfiable(self):
         path = mkpath((AssignNondet("x"), 1), (assume_cmp("x", ">", 0), 2))
-        assert is_feasible(path)
+        assert extract_sliced_prefixes(path) == []
+
+    def test_matches_whole_path_sp(self, spurious_sample):
+        for path, _, _ in spurious_sample:
+            for p in (path, extract_sliced_prefixes(path)[0].path):
+                for cut in range(len(p) + 1):
+                    head = Path(p.steps[:cut])
+                    infeasible = sp_seq(head.ops) is BOTTOM
+                    assert bool(extract_sliced_prefixes(head)) == infeasible
+
+
+class TestDeadline:
+    def test_clock_read_once_per_stride(self):
+        past = -1.0
+        check_deadline(None)
+        check_deadline(float("inf"))
+        check_deadline(past, 1)
+        check_deadline(past, CLOCK_STRIDE - 1)
+        for step in (0, CLOCK_STRIDE, 3 * CLOCK_STRIDE):
+            with pytest.raises(LimitReached) as exc:
+                check_deadline(past, step)
+            assert exc.value.reason == "timeout"
 
 
 class TestExtraction:
@@ -115,9 +141,9 @@ class TestExtraction:
         assert [len(p) for p in prefixes] == [4, 5, 6]
         assert [sorted(p.replaced) for p in prefixes] == [[], [3], [3, 4]]
 
-    def test_feasible_input_is_contract_error(self):
-        with pytest.raises(FeasiblePathError):
-            extract_sliced_prefixes(mkpath((assign("x", 0), 1)))
+    def test_feasible_input_has_no_prefix(self):
+        assert extract_sliced_prefixes(mkpath((assign("x", 0), 1))) == []
+        assert extract_sliced_prefixes(mkpath()) == []
 
     def test_indices_in_emission_order(self):
         prefixes = extract_sliced_prefixes(TWO_REASONS)
@@ -132,7 +158,7 @@ class TestExtractionInvariants:
             for i, prefix in enumerate(prefixes):
                 # (1) each prefix is itself infeasible, ending in the
                 # contradicting assume
-                assert sp_path(prefix.path) is BOTTOM
+                assert sp_seq(prefix.path.ops) is BOTTOM
                 assert isinstance(prefix.path.steps[-1][0], Assume)
                 # dropping the final pair leaves a feasible path
                 assert sp_seq(prefix.path.ops[:-1]) is not BOTTOM

@@ -9,11 +9,7 @@ from prefixselect.frontend import load_cfa
 from prefixselect.generators import fig2_program, random_program
 from prefixselect.interpolation import InterpolantSequence, interpolant_sequence
 from prefixselect.lang import Assign, AssignNondet, expr_variables, pred_variables
-from prefixselect.paths import (
-    FeasiblePathError,
-    extract_sliced_prefixes,
-    is_feasible,
-)
+from prefixselect.paths import extract_sliced_prefixes
 from prefixselect.refinement import (
     DomainType,
     Heuristic,
@@ -59,7 +55,9 @@ class TestExtractPrecision:
 class TestRefineClassic:
     def test_two_step_path(self):
         path = mkpath((assign("x", 0), 1), (assume_cmp("x", ">", 0), 2))
-        result = refine_selecting(path, Heuristic.CLASSIC, {}, ["x"])
+        result = refine_selecting(
+            extract_sliced_prefixes(path), Heuristic.CLASSIC, {}, ["x"]
+        )
         assert result.precision.at(1) == {"x"}
         assert result.precision.at(2) == frozenset()
 
@@ -69,21 +67,19 @@ class TestRefineClassic:
             (assign("i", 0), 2),
             (assume_cmp("b", "==", 0), 3),
         )
-        result = refine_selecting(path, Heuristic.CLASSIC, {}, ["b", "i"])
+        result = refine_selecting(
+            extract_sliced_prefixes(path), Heuristic.CLASSIC, {}, ["b", "i"]
+        )
         assert result.precision.at(1) == {"b"}
         assert result.precision.at(2) == {"b"}
-
-    def test_feasible_input_is_contract_error(self):
-        with pytest.raises(FeasiblePathError):
-            refine_selecting(
-                mkpath((assign("x", 0), 1)), Heuristic.CLASSIC, {}, ["x"]
-            )
 
     def test_family_path_tracks_loop_counter(self):
         # interpolating the whole first error path of the family program
         # pulls the loop counter into the precision: the bad outcome
         cfa, path = first_spurious_path(fig2_program(10), Heuristic.CLASSIC)
-        result = refine_selecting(path, Heuristic.CLASSIC, {}, cfa.variables)
+        result = refine_selecting(
+            extract_sliced_prefixes(path), Heuristic.CLASSIC, {}, cfa.variables
+        )
         tracked = set()
         for loc in cfa.locations:
             tracked |= result.precision.at(loc)
@@ -261,7 +257,9 @@ class TestRefineSelecting:
     def test_family_path_domain_type_tracks_only_flag(self):
         cfa, path = first_spurious_path(fig2_program(10))
         table = classify_domain_types(cfa)
-        result = refine_selecting(path, Heuristic.DOMAIN_TYPE, table, cfa.variables)
+        result = refine_selecting(
+            extract_sliced_prefixes(path), Heuristic.DOMAIN_TYPE, table, cfa.variables
+        )
         tracked = set()
         for loc in cfa.locations:
             tracked |= result.precision.at(loc)
@@ -271,14 +269,18 @@ class TestRefineSelecting:
     def test_shortest_on_two_reason_path(self):
         table = {"x": DomainType.INTEGER_OTHER, "y": DomainType.INTEGER_OTHER}
         result = refine_selecting(
-            TWO_REASONS, Heuristic.PREFIX_SHORTEST, table, ["x", "y"]
+            extract_sliced_prefixes(TWO_REASONS),
+            Heuristic.PREFIX_SHORTEST,
+            table,
+            ["x", "y"],
         )
         assert result.precision.at(1) == {"x"}
         assert result.prefix_count == 2 and result.chosen_index == 0
 
     def test_classic_heuristic_bypasses_selection(self):
         table = {"x": DomainType.INTEGER_OTHER, "y": DomainType.INTEGER_OTHER}
-        selecting = refine_selecting(TWO_REASONS, Heuristic.CLASSIC, table, ["x", "y"])
+        prefixes = extract_sliced_prefixes(TWO_REASONS)
+        selecting = refine_selecting(prefixes, Heuristic.CLASSIC, table, ["x", "y"])
         seq, calls = interpolant_sequence(TWO_REASONS, ["x", "y"])
         tracked = {}
         for _, loc, gamma in seq.entries:
@@ -296,12 +298,10 @@ class TestRefineSelecting:
         # whole-path refinement
         checked = 0
         for path, _, variables in spurious_sample:
-            single = extract_sliced_prefixes(path)[0].path
-            assert len(extract_sliced_prefixes(single)) == 1
+            single = extract_sliced_prefixes(extract_sliced_prefixes(path)[0].path)
+            assert len(single) == 1
             table = {x: DomainType.INTEGER_OTHER for x in variables}
-            selecting = refine_selecting(
-                single, Heuristic.DOMAIN_TYPE, table, variables
-            )
+            selecting = refine_selecting(single, Heuristic.DOMAIN_TYPE, table, variables)
             classic = refine_selecting(single, Heuristic.CLASSIC, table, variables)
             assert selecting.precision == classic.precision
             checked += 1
@@ -309,16 +309,17 @@ class TestRefineSelecting:
                 break
         assert checked > 0
 
-    def test_feasible_input_is_contract_error(self):
-        with pytest.raises(FeasiblePathError):
-            refine_selecting(
-                mkpath((assign("x", 0), 1)), Heuristic.DOMAIN_TYPE, {}, ["x"]
-            )
+    @pytest.mark.parametrize("heuristic", list(Heuristic))
+    def test_no_prefix_is_contract_error(self, heuristic):
+        # a feasible path has no sliced prefix and nothing to refine
+        with pytest.raises(ValueError):
+            refine_selecting([], heuristic, {}, ["x"])
 
     def test_deterministic(self):
         table = {"x": DomainType.INTEGER_OTHER, "y": DomainType.INTEGER_OTHER}
-        a = refine_selecting(TWO_REASONS, Heuristic.DOMAIN_TYPE, table, ["x", "y"])
-        b = refine_selecting(TWO_REASONS, Heuristic.DOMAIN_TYPE, table, ["x", "y"])
+        prefixes = extract_sliced_prefixes(TWO_REASONS)
+        a = refine_selecting(prefixes, Heuristic.DOMAIN_TYPE, table, ["x", "y"])
+        b = refine_selecting(prefixes, Heuristic.DOMAIN_TYPE, table, ["x", "y"])
         assert a.precision == b.precision and a.chosen_index == b.chosen_index
 
 
@@ -327,7 +328,8 @@ class TestProgress:
     def test_all_heuristics_exclude_the_path(self, heuristic, spurious_sample):
         for path, _, variables in spurious_sample[:30]:
             table = {x: DomainType.INTEGER_OTHER for x in variables}
-            result = refine_selecting(path, heuristic, table, variables)
+            prefixes = extract_sliced_prefixes(path)
+            result = refine_selecting(prefixes, heuristic, table, variables)
             assert check_refinement_progress(path, result.precision)
 
     def test_argmin_correctness(self, spurious_sample):
