@@ -17,7 +17,7 @@ from .interpolation import (
     interpolant_to_constraints,
     interpolate,
 )
-from .paths import Path, SlicedPrefix, extract_sliced_prefixes, sp_seq
+from .paths import Path, extract_sliced_prefixes, sp_seq
 from .refinement import (
     DomainType,
     Heuristic,

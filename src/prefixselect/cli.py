@@ -318,8 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     limits = _Parser(add_help=False)
-    limits.add_argument("--max-refinements", type=_int_at_least(0), default=200)
-    limits.add_argument("--max-states", type=_int_at_least(1), default=1_000_000)
+    limits.add_argument(
+        "--max-refinements", type=_int_at_least(0), default=Limits.max_refinements
+    )
+    limits.add_argument("--max-states", type=_int_at_least(1), default=Limits.max_states)
     limits.add_argument("--timeout", type=_timeout_seconds, default=None, metavar="SECONDS")
 
     verify = sub.add_parser("verify", parents=[limits], help="verify a single .imp file")

@@ -262,9 +262,10 @@ def cegar(
 
     Starts from the empty precision.  Each counterexample is swept once for
     its sliced prefixes; it is feasible, and the verdict FALSE, if there are
-    none.  Otherwise the refinement's per-path precision is widened to the
-    live ranges of its variables (``widen_to_live_ranges``), checked to
-    exclude that path, and unioned pointwise into the running precision.
+    none.  Otherwise ``refine_selecting`` gets the counterexample and its
+    prefixes, and the per-path precision it returns is widened to the live
+    ranges of its variables (``widen_to_live_ranges``), checked to exclude
+    that path, and unioned pointwise into the running precision.
     Where a full restart would explore again from the root, the reached set
     is pruned to the states that avoid every location whose tracked set grew,
     and ``reach`` resumes from it; the fixpoint is the same, only the
@@ -299,7 +300,9 @@ def cegar(
             if stats.refinements >= limits.max_refinements:
                 verdict = Verdict("UNKNOWN", reason="refinement-limit")
                 break
-            result = refine_selecting(prefixes, heuristic, table, cfa.variables, deadline)
+            result = refine_selecting(
+                sigma, prefixes, heuristic, table, cfa.variables, deadline
+            )
             widened = widen_to_live_ranges(result.precision, cfa, live)
             if not check_refinement_progress(sigma, widened, deadline):
                 raise RefinementProgressError(

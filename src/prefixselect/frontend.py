@@ -203,8 +203,11 @@ class _Parser:
                     break
             self.expect(";")
         body = []
-        while self.text:
-            body.append(self.stmt())
+        try:
+            while self.text:
+                body.append(self.stmt())
+        except RecursionError:
+            raise self._error("program nested too deeply") from None
         return Program(tuple(self.declared), tuple(body))
 
     def block(self) -> tuple[Stmt, ...]:
@@ -336,7 +339,8 @@ def parse(source: str) -> Program:
     """Parse source text into a Program AST.
 
     Raises ParseError (with line/column) on syntax errors, use of undeclared
-    variables, or duplicate declarations.
+    variables, duplicate declarations, an expression deeper than MAX_DEPTH,
+    or a program nested too deeply for the recursive parser.
     """
     return _Parser(source).program()
 
@@ -461,9 +465,8 @@ def build_cfa(program: Program) -> ControlFlowAutomaton:
 
 
 def load_cfa(source: str) -> ControlFlowAutomaton:
-    """Parse and build; a program nested too deeply for the recursive parser
-    or CFA builder, or an expression deeper than MAX_DEPTH, raises
-    ParseError, like any other input it cannot take."""
+    """Parse and build; raises ParseError on any input ``parse`` rejects,
+    and on a program nested too deeply for the recursive CFA builder."""
     parser = _Parser(source)
     try:
         return build_cfa(parser.program())

@@ -38,7 +38,7 @@ def seq_variables(ops: Sequence[Operation]) -> set[str]:
 
 
 def interpolate(
-    gamma_minus: Sequence[Operation], gamma_plus: Sequence[Operation]
+    gamma_minus: Sequence[Operation], gamma_plus: Sequence[Operation] | Suffix
 ) -> AbstractAssignment:
     """Interpolant for two jointly contradicting constraint sequences.
 

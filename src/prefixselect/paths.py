@@ -3,7 +3,8 @@
 A path is a sequence of (operation, location) pairs.  An infeasible path has
 one or more contradicting assume operations; each gives rise to one infeasible
 sliced prefix, extracted in a single forward sweep that keeps the running
-prefix feasible by replacing contradicting assumes with no-ops.  A feasible
+prefix feasible by replacing contradicting assumes with no-ops; each is a
+``Path``, more abstract than the original but still infeasible.  A feasible
 path has none, so the sweep is also the feasibility test.
 
 ``SuffixReplay`` memoises the strongest post of every suffix of one path, for
@@ -13,8 +14,8 @@ inductive interpolation, which replays each suffix many times.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 from .lang import NOOP, Assume, Operation, op_variables, render_op
 from .values import BOTTOM, TOP, AbstractAssignment, Assignment, sp
@@ -60,23 +61,6 @@ class Path:
     @property
     def locations(self) -> tuple[int, ...]:
         return tuple(loc for _, loc in self.steps)
-
-
-@dataclass(frozen=True)
-class SlicedPrefix:
-    """A truncated copy of a path with earlier contradicting assumes no-op'd.
-
-    ``replaced`` holds the 0-based positions where the original assume was
-    replaced; ``index`` is the 0-based emission order of this prefix.
-    """
-
-    path: Path
-    replaced: frozenset[int]
-    index: int
-    original: Path = field(compare=False)
-
-    def __len__(self) -> int:
-        return len(self.path)
 
 
 def sp_seq(
@@ -138,24 +122,15 @@ class SuffixReplay:
         return v
 
 
-class Suffix(Sequence[Operation]):
-    """The operations ``replay.ops[pos:]`` as a sequence, without copying;
-    ``variables`` and ``sp_seq`` answer from the replay."""
+class Suffix:
+    """The operations ``replay.ops[pos:]``, as interpolation reads them: their
+    ``variables`` and their ``sp_seq``, both answered from the replay."""
 
     __slots__ = ("replay", "pos")
 
     def __init__(self, replay: SuffixReplay, pos: int):
         self.replay = replay
         self.pos = pos
-
-    def __len__(self) -> int:
-        return len(self.replay.ops) - self.pos
-
-    def __getitem__(self, index):
-        positions = range(self.pos, len(self.replay.ops))[index]
-        if isinstance(positions, range):
-            return tuple(self.replay.ops[p] for p in positions)
-        return self.replay.ops[positions]
 
     @property
     def variables(self) -> frozenset[str]:
@@ -165,9 +140,7 @@ class Suffix(Sequence[Operation]):
         return self.replay.sp_from(self.pos, v0)
 
 
-def extract_sliced_prefixes(
-    path: Path, deadline: Optional[float] = None
-) -> list[SlicedPrefix]:
+def extract_sliced_prefixes(path: Path, deadline: Optional[float] = None) -> list[Path]:
     """All infeasible sliced prefixes of a path, in order; ``[]`` exactly
     when the path is feasible.
 
@@ -175,26 +148,18 @@ def extract_sliced_prefixes(
     next pair contradicts the copy, the copy extended by that pair is emitted
     as a prefix and the pair's operation is replaced by a no-op in the copy.
     Up to the first contradiction the copy is the path itself, so there is a
-    prefix exactly when the path's strongest post is Bottom.
+    prefix exactly when the path's strongest post is Bottom.  Prefix i holds
+    ``NOOP`` at the final positions of the prefixes before it.
     """
-    prefixes: list[SlicedPrefix] = []
+    prefixes: list[Path] = []
     feasible_steps: list[Step] = []
-    replaced: set[int] = set()
     v = TOP
     for pos, (op, loc) in enumerate(path):
         check_deadline(deadline, pos)
         v_next = sp(op, v)
         if v_next is BOTTOM:
             assert isinstance(op, Assume), "only assumes can contradict"
-            prefixes.append(
-                SlicedPrefix(
-                    path=Path(tuple(feasible_steps) + ((op, loc),)),
-                    replaced=frozenset(replaced),
-                    index=len(prefixes),
-                    original=path,
-                )
-            )
-            replaced.add(pos)
+            prefixes.append(Path(tuple(feasible_steps) + ((op, loc),)))
             feasible_steps.append((NOOP, loc))
         else:
             feasible_steps.append((op, loc))
@@ -202,15 +167,6 @@ def extract_sliced_prefixes(
     return prefixes
 
 
-def render_path(path: Path, replaced: Iterable[int] = (), original: Path | None = None) -> str:
-    """One ``(op, l_k)`` pair per line; replaced positions annotated with the
-    original assume."""
-    replaced = set(replaced)
-    lines = []
-    for pos, (op, loc) in enumerate(path):
-        if pos in replaced and original is not None:
-            text = "[true] (was: %s)" % render_op(original.steps[pos][0])
-        else:
-            text = render_op(op)
-        lines.append("(%s, l%d)" % (text, loc))
-    return "\n".join(lines)
+def render_path(path: Path) -> str:
+    """One ``(op, l_k)`` pair per line."""
+    return "\n".join("(%s, l%d)" % (render_op(op), loc) for op, loc in path)

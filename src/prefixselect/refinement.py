@@ -2,8 +2,8 @@
 
 Both strategies run the same inductive interpolation and differ only in the
 path they hand it: the classic heuristic interpolates the whole error path,
-while selection interpolates each of its infeasible sliced prefixes
-independently, and picks one by a heuristic.  The domain-type heuristic
+while selection interpolates each of its infeasible sliced prefixes (each a
+``Path`` itself) independently, and picks one by a heuristic.  The domain-type heuristic
 scores interpolant sequences by how expensive their variables are to track
 (booleans cheap, loop counters dear).
 
@@ -35,7 +35,7 @@ from .lang import (
     pred_variables,
 )
 from .interpolation import InterpolantSequence, interpolant_sequence
-from .paths import Path, SlicedPrefix, check_deadline
+from .paths import Path, check_deadline
 from .values import BOTTOM, TOP, AbstractAssignment, restrict, sp
 
 
@@ -326,26 +326,26 @@ def score_interpolant_sequence(
 
 
 def choose_sliced_prefix(
-    prefixes: Sequence[SlicedPrefix],
     sequences: Sequence[InterpolantSequence],
     heuristic: Heuristic,
     table: Mapping[str, DomainType],
 ) -> int:
-    """Index of the prefix the heuristic selects.
+    """Index of the prefix the heuristic selects, given the interpolant
+    sequence of each prefix, in order.
 
     Domain-type scoring breaks ties toward the longest prefix (largest index),
     which keeps refinement local to the error.
     """
-    if not prefixes:
+    if not sequences:
         raise ValueError("no sliced prefixes to choose from")
     if heuristic is Heuristic.PREFIX_SHORTEST:
         return 0
     if heuristic is Heuristic.PREFIX_LONGEST:
-        return len(prefixes) - 1
+        return len(sequences) - 1
     if heuristic is Heuristic.DOMAIN_TYPE:
         best = 0
         best_score = score_interpolant_sequence(sequences[0], table)
-        for j in range(1, len(prefixes)):
+        for j in range(1, len(sequences)):
             score = score_interpolant_sequence(sequences[j], table)
             if score <= best_score:
                 best, best_score = j, score
@@ -376,33 +376,34 @@ def _precision_of(seq: InterpolantSequence) -> Precision:
 
 
 def refine_selecting(
-    prefixes: Sequence[SlicedPrefix],
+    path: Path,
+    prefixes: Sequence[Path],
     heuristic: Heuristic,
     table: Mapping[str, DomainType],
     var_order: Sequence[str],
     deadline: Optional[float] = None,
 ) -> RefinementResult:
-    """Selection-based refinement over the sliced prefixes of one path, as
-    ``extract_sliced_prefixes`` returns them.
+    """Refinement of the infeasible error path ``path``, given its sliced
+    prefixes as ``extract_sliced_prefixes`` returns them.
 
     Interpolant sequences are computed for every prefix before choosing, even
     for heuristics that ignore them, so interpolation effort is comparable
     across heuristics.  The classic heuristic skips selection and interpolates
-    the whole path, ``prefixes[0].original``.  Raises ValueError on no prefix
-    (a feasible path), and LimitReached("timeout") once ``deadline`` passes.
+    ``path`` itself.  Raises ValueError on no prefix (a feasible path), and
+    LimitReached("timeout") once ``deadline`` passes.
     """
     if not prefixes:
         raise ValueError("refinement requires an infeasible path")
     if heuristic is Heuristic.CLASSIC:
-        seq, calls = interpolant_sequence(prefixes[0].original, var_order, deadline)
+        seq, calls = interpolant_sequence(path, var_order, deadline)
         return RefinementResult(_precision_of(seq), 0, None, None, calls)
     sequences = []
     calls = 0
     for prefix in prefixes:
-        seq, n = interpolant_sequence(prefix.path, var_order, deadline)
+        seq, n = interpolant_sequence(prefix, var_order, deadline)
         sequences.append(seq)
         calls += n
-    chosen = choose_sliced_prefix(prefixes, sequences, heuristic, table)
+    chosen = choose_sliced_prefix(sequences, heuristic, table)
     score = score_interpolant_sequence(sequences[chosen], table)
     return RefinementResult(
         _precision_of(sequences[chosen]), len(prefixes), chosen, score, calls

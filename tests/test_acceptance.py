@@ -140,7 +140,7 @@ def _oracle_prefixes(path: Path):
     sp_seq, independently of the extraction sweep."""
     steps = list(path.steps)
     replaced: list[int] = []
-    found = []
+    found: list[Path] = []
     while True:
         start = replaced[-1] + 1 if replaced else 0
         hit = None
@@ -156,7 +156,7 @@ def _oracle_prefixes(path: Path):
                 break
         if hit is None:
             return found
-        found.append((tuple(replaced), hit[0], hit[1]))
+        found.append(hit[1])
         replaced.append(hit[0])
 
 
@@ -168,14 +168,13 @@ def test_prefix_extraction_matches_oracle(capfd, harvest500):
             assert len(prefixes) >= 1
             expected = _oracle_prefixes(path)
             assert len(prefixes) == len(expected)
-            for prefix, (replaced, last, candidate) in zip(prefixes, expected):
-                assert sorted(prefix.replaced) == sorted(replaced)
-                assert len(prefix.path) == last + 1
-                assert prefix.path == candidate
+            for prefix, candidate in zip(prefixes, expected):
+                # the whole prefix, so its length and its replaced positions
+                assert prefix == candidate
                 # characteristics: infeasible exactly once, at the final assume
-                assert sp_seq(prefix.path.ops) is BOTTOM
-                assert isinstance(prefix.path.steps[-1][0], Assume)
-                assert sp_seq(prefix.path.ops[:-1]) is not BOTTOM
+                assert sp_seq(prefix.ops) is BOTTOM
+                assert isinstance(prefix.steps[-1][0], Assume)
+                assert sp_seq(prefix.ops[:-1]) is not BOTTOM
         assert time.monotonic() - started < 60.0
 
 
@@ -184,7 +183,7 @@ def test_prefix_interpolants_transfer_to_original_path(capfd, harvest500):
         for path, _, variables in harvest500:
             full_ops = path.ops
             for prefix in extract_sliced_prefixes(path):
-                seq, _ = interpolant_sequence(prefix.path, variables)
+                seq, _ = interpolant_sequence(prefix, variables)
                 for pos, _, gamma in seq.entries:
                     assert check_interpolant(
                         gamma, full_ops[: pos + 1], full_ops[pos + 1 :]
@@ -195,7 +194,7 @@ def test_interpolant_contract_and_minimality(capfd, harvest500):
     with announce(capfd, "interpolant conditions and local minimality"):
         for path, _, _ in harvest500:
             for prefix in extract_sliced_prefixes(path):
-                ops = prefix.path.ops
+                ops = prefix.ops
                 for cut in range(1, len(ops)):
                     gamma = interpolate(ops[:cut], ops[cut:])
                     assert check_interpolant(gamma, ops[:cut], ops[cut:])

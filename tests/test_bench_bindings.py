@@ -1,19 +1,34 @@
-"""The benchmark's tracer patches module bindings by name; a renamed or
-removed function silently drops out of its layer metrics.  This pins the set
-of bindings it reports missing."""
+"""The benchmark's tracer patches module bindings by name, and its worker
+reads what the bound functions return; a renamed or removed function silently
+drops out of its layer metrics.  These tests pin the set of bindings the
+tracer reports missing, and check on a small run that every other binding
+is called and that the per-task clock and tracing leave the counters as they
+are."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from prefixselect import cli
+from prefixselect.engine import Limits
+from prefixselect.generators import fig2_program
+from prefixselect.refinement import Heuristic
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name: str):
+    """A ``perfbench`` module, loaded by path as it is, without its package."""
+    path = PERFBENCH / (name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_finds_its_bindings():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load("tracing")
     tracer = tracing.Tracer()
     with tracer:
         pass
@@ -32,3 +47,32 @@ def test_tracer_finds_its_bindings():
         "refinement.extract_sliced_prefixes",
         "refinement.interpolate",
     ]
+
+
+def test_traced_bench_counts_every_binding(tmp_path):
+    tracing, worker = load("tracing"), load("worker")
+    (tmp_path / "fig2_n10.imp").write_text(fig2_program(10), encoding="utf-8")
+    (tmp_path / "unsafe.imp").write_text(
+        "var x; x := 1; if (x == 1) { error; }", encoding="utf-8"
+    )
+    heuristics = list(Heuristic)
+
+    def counters(rows):
+        timings = ("duration_ms", "cpu_ms")
+        return [{k: v for k, v in r.items() if k not in timings} for r in rows]
+
+    untraced = cli.run_bench(tmp_path, heuristics, Limits())
+    tracer = tracing.Tracer()
+    with tracer, worker.TaskClock(cli) as clock:
+        rows = cli.run_bench(tmp_path, heuristics, Limits())
+    clock.annotate(rows)
+    _, _, counts = tracer.totals()
+    for module, attr, _, counter in tracing.BINDINGS:
+        if "%s.%s" % (module, attr) not in tracer.missing:
+            assert counts[counter] >= 1, (module, attr)
+    assert len(rows) == 8 and all("cpu_ms" in r for r in rows)
+    assert {r["verdict"] for r in rows} == {"TRUE", "FALSE"}
+    assert counters(rows) == counters(untraced)
+    # the tracer reads the chosen prefix's interpolation calls by index
+    layers = tracing.layer_metrics(tracer, rows, 1.0)
+    assert 0 < layers["refinement.chosen_interp_share"] <= 1

@@ -196,18 +196,22 @@ class TestBuildCfa:
         assert load_cfa(FIG2) == load_cfa(FIG2)
 
     @pytest.mark.parametrize(
-        "source",
+        "source, entries",
         [
-            # the parser's recursion overflows
-            "var x; x := %s1%s;" % ("(" * 3000, ")" * 3000),
+            # the parser's recursion overflows, the same error from either entry
+            ("var x; x := %s1%s;" % ("(" * 3000, ")" * 3000), (load_cfa, parse)),
             # nested blocks: the CFA builder recurses as deep as the parser
-            "var x; %sx := 1;%s" % ("if (x == 0) { " * 400, " }" * 400),
+            ("var x; %sx := 1;%s" % ("if (x == 0) { " * 400, " }" * 400), (load_cfa,)),
         ],
         ids=["parentheses", "blocks"],
     )
-    def test_deep_nesting_is_parse_error(self, source):
-        with pytest.raises(ParseError, match="nested too deeply"):
-            load_cfa(source)
+    def test_deep_nesting_is_parse_error(self, source, entries):
+        messages = set()
+        for entry in entries:
+            with pytest.raises(ParseError, match="nested too deeply") as exc:
+                entry(source)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
 
     @pytest.mark.parametrize(
         "program, column",

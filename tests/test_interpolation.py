@@ -87,7 +87,7 @@ class TestInterpolate:
     def test_conditions_hold(self, spurious_sample):
         for path, _, _ in spurious_sample[:40]:
             for prefix in extract_sliced_prefixes(path):
-                ops = prefix.path.ops
+                ops = prefix.ops
                 for cut in range(1, len(ops)):
                     gamma = interpolate(ops[:cut], ops[cut:])
                     assert check_interpolant(gamma, ops[:cut], ops[cut:])
@@ -95,7 +95,7 @@ class TestInterpolate:
     def test_local_minimality(self, spurious_sample):
         for path, _, _ in spurious_sample[:40]:
             for prefix in extract_sliced_prefixes(path):
-                ops = prefix.path.ops
+                ops = prefix.ops
                 for cut in range(1, len(ops)):
                     gamma = interpolate(ops[:cut], ops[cut:])
                     if gamma is BOTTOM:
@@ -134,11 +134,11 @@ class TestSequences:
         # refutation of the remaining suffix
         for path, _, variables in spurious_sample[:30]:
             for prefix in extract_sliced_prefixes(path):
-                seq, calls = interpolant_sequence(prefix.path, variables)
-                ops = prefix.path.ops
+                seq, calls = interpolant_sequence(prefix, variables)
+                ops = prefix.ops
                 assert calls == len(seq.entries)
                 for pos, loc, gamma in seq.entries:
-                    assert loc == prefix.path.locations[pos]
+                    assert loc == prefix.locations[pos]
                     assert check_interpolant(gamma, ops[: pos + 1], ops[pos + 1 :])
 
     def test_proposition_prefix_interpolants_transfer(self, spurious_sample):
@@ -146,7 +146,7 @@ class TestSequences:
         # interpolant conditions for the original path's split at the same cut
         for path, _, variables in spurious_sample[:30]:
             for prefix in extract_sliced_prefixes(path):
-                seq, _ = interpolant_sequence(prefix.path, variables)
+                seq, _ = interpolant_sequence(prefix, variables)
                 full_ops = path.ops
                 for pos, _, gamma in seq.entries:
                     minus, plus = full_ops[: pos + 1], full_ops[pos + 1 :]
@@ -157,7 +157,7 @@ class TestSequences:
         # cut on its own gives, on whole error paths and on sliced prefixes
         checked = 0
         for path, _, variables in spurious_sample:
-            for p in [path] + [prefix.path for prefix in extract_sliced_prefixes(path)]:
+            for p in [path] + extract_sliced_prefixes(path):
                 assert interpolant_sequence(p, variables) == reference_sequence(p, variables)
                 checked += 1
         assert checked > len(spurious_sample)
@@ -211,7 +211,7 @@ class TestSequences:
 
             with monkeypatch.context() as m:
                 m.setattr(paths, "sp", counted)
-                interpolant_sequence(prefix.path, cfa.variables)
+                interpolant_sequence(prefix, cfa.variables)
             return calls
 
         assert sp_calls(200) <= 2.2 * sp_calls(100)

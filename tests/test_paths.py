@@ -43,28 +43,25 @@ class TestSpPath:
 
 class TestSuffixReplay:
     def test_matches_plain_replay(self, spurious_sample):
-        # every suffix view reads, and replays, like the plain slice it stands
-        # for, before and after the memo has been filled
+        # every suffix view has the variables of, and replays like, the plain
+        # slice it stands for, before and after the memo has been filled
         for path, _, _ in spurious_sample[:30]:
             ops = path.ops
             replay = SuffixReplay(ops)
             for _ in range(2):
                 for pos in range(len(ops) + 1):
                     suffix = Suffix(replay, pos)
-                    assert tuple(suffix) == ops[pos:] and len(suffix) == len(ops) - pos
-                    assert suffix[1:3] == ops[pos:][1:3]
                     assert suffix.variables == set().union(*map(op_variables, ops[pos:]))
                     for v in (TOP, sp_seq(ops[:pos])):
                         assert suffix.sp_seq(v) == sp_seq(ops[pos:], v)
 
-    def test_bottom_start_and_negative_index(self):
+    def test_bottom_start(self):
         ops = (assign("x", 0), assume_cmp("x", ">", 0))
         suffix = Suffix(SuffixReplay(ops), 0)
         assert suffix.sp_seq(BOTTOM) is BOTTOM
         assert suffix.sp_seq(TOP) is BOTTOM
-        assert suffix[-1] == ops[-1]
-        with pytest.raises(IndexError):
-            suffix[2]
+        assert suffix.variables == {"x"}
+        assert Suffix(SuffixReplay(ops), 2).variables == frozenset()
 
 
 class TestFeasibility:
@@ -85,7 +82,7 @@ class TestFeasibility:
 
     def test_matches_whole_path_sp(self, spurious_sample):
         for path, _, _ in spurious_sample:
-            for p in (path, extract_sliced_prefixes(path)[0].path):
+            for p in (path, extract_sliced_prefixes(path)[0]):
                 for cut in range(len(p) + 1):
                     head = Path(p.steps[:cut])
                     infeasible = sp_seq(head.ops) is BOTTOM
@@ -105,27 +102,33 @@ class TestDeadline:
             assert exc.value.reason == "timeout"
 
 
+def replaced_positions(prefix: Path, path: Path) -> set[int]:
+    """Where the sliced prefix holds ``NOOP`` for an assume of its path."""
+    return {
+        pos
+        for pos, ((op, _), (orig, _)) in enumerate(zip(prefix, path))
+        if op != orig and is_noop(op) and isinstance(orig, Assume)
+    }
+
+
 class TestExtraction:
     def test_two_reasons(self):
         prefixes = extract_sliced_prefixes(TWO_REASONS)
         assert len(prefixes) == 2
         first, second = prefixes
-        assert first.path.steps == TWO_REASONS.steps[:2]
-        assert first.replaced == frozenset()
-        assert second.path.steps == (
+        assert first.steps == TWO_REASONS.steps[:2]
+        assert replaced_positions(first, TWO_REASONS) == set()
+        assert second.steps == (
             TWO_REASONS.steps[0],
             (NOOP, 2),
             TWO_REASONS.steps[2],
             TWO_REASONS.steps[3],
         )
-        assert second.replaced == frozenset({1})
+        assert replaced_positions(second, TWO_REASONS) == {1}
 
     def test_single_contradiction_at_end(self):
         path = mkpath((assign("x", 1), 1), (assume_cmp("x", "==", 0), 2))
-        prefixes = extract_sliced_prefixes(path)
-        assert len(prefixes) == 1
-        assert prefixes[0].path == path
-        assert prefixes[0].replaced == frozenset()
+        assert extract_sliced_prefixes(path) == [path]
 
     def test_three_independent_reasons_cascade(self):
         path = mkpath(
@@ -139,15 +142,11 @@ class TestExtraction:
         prefixes = extract_sliced_prefixes(path)
         assert len(prefixes) == 3
         assert [len(p) for p in prefixes] == [4, 5, 6]
-        assert [sorted(p.replaced) for p in prefixes] == [[], [3], [3, 4]]
+        assert [sorted(replaced_positions(p, path)) for p in prefixes] == [[], [3], [3, 4]]
 
     def test_feasible_input_has_no_prefix(self):
         assert extract_sliced_prefixes(mkpath((assign("x", 0), 1))) == []
         assert extract_sliced_prefixes(mkpath()) == []
-
-    def test_indices_in_emission_order(self):
-        prefixes = extract_sliced_prefixes(TWO_REASONS)
-        assert [p.index for p in prefixes] == [0, 1]
 
 
 class TestExtractionInvariants:
@@ -158,42 +157,28 @@ class TestExtractionInvariants:
             for i, prefix in enumerate(prefixes):
                 # (1) each prefix is itself infeasible, ending in the
                 # contradicting assume
-                assert sp_seq(prefix.path.ops) is BOTTOM
-                assert isinstance(prefix.path.steps[-1][0], Assume)
+                assert sp_seq(prefix.ops) is BOTTOM
+                assert isinstance(prefix.steps[-1][0], Assume)
                 # dropping the final pair leaves a feasible path
-                assert sp_seq(prefix.path.ops[:-1]) is not BOTTOM
-                # (3) differs from the original only at replaced assume
-                # positions, by truncation
-                for pos, (op, loc) in enumerate(prefix.path):
+                assert sp_seq(prefix.ops[:-1]) is not BOTTOM
+                # (3) differs from the original only by truncation and at
+                # replaced positions, where an assume became NOOP
+                replaced = replaced_positions(prefix, path)
+                for pos, (op, loc) in enumerate(prefix):
                     orig_op, orig_loc = path.steps[pos]
                     assert loc == orig_loc
-                    if pos in prefix.replaced:
-                        assert is_noop(op) and isinstance(orig_op, Assume)
-                    else:
+                    if pos not in replaced:
                         assert op == orig_op
                 # (2) prefix i without its final pair is a prefix of prefix i+1
                 if i + 1 < len(prefixes):
                     nxt = prefixes[i + 1]
-                    body = prefix.path.steps[:-1]
-                    assert nxt.path.steps[: len(body)] == body
+                    body = prefix.steps[:-1]
+                    assert nxt.steps[: len(body)] == body
                 # replacements of prefix i are the final positions of 1..i-1
-                assert prefix.replaced == frozenset(
-                    len(p) - 1 for p in prefixes[:i]
-                )
+                assert replaced == {len(p) - 1 for p in prefixes[:i]}
 
 
 class TestRendering:
     def test_plain_path(self):
         text = render_path(mkpath((assign("x", 0), 1), (assume_cmp("x", ">", 0), 2)))
         assert text == "(x := 0, l1)\n([x > 0], l2)"
-
-    def test_replaced_annotation(self):
-        prefixes = extract_sliced_prefixes(TWO_REASONS)
-        p = prefixes[1]
-        text = render_path(p.path, p.replaced, p.original)
-        assert text.splitlines() == [
-            "(x := 0, l1)",
-            "([true] (was: [x > 0]), l2)",
-            "(y := 1, l3)",
-            "([y == 0], l4)",
-        ]

@@ -56,7 +56,7 @@ class TestRefineClassic:
     def test_two_step_path(self):
         path = mkpath((assign("x", 0), 1), (assume_cmp("x", ">", 0), 2))
         result = refine_selecting(
-            extract_sliced_prefixes(path), Heuristic.CLASSIC, {}, ["x"]
+            path, extract_sliced_prefixes(path), Heuristic.CLASSIC, {}, ["x"]
         )
         assert result.precision.at(1) == {"x"}
         assert result.precision.at(2) == frozenset()
@@ -68,7 +68,7 @@ class TestRefineClassic:
             (assume_cmp("b", "==", 0), 3),
         )
         result = refine_selecting(
-            extract_sliced_prefixes(path), Heuristic.CLASSIC, {}, ["b", "i"]
+            path, extract_sliced_prefixes(path), Heuristic.CLASSIC, {}, ["b", "i"]
         )
         assert result.precision.at(1) == {"b"}
         assert result.precision.at(2) == {"b"}
@@ -78,7 +78,7 @@ class TestRefineClassic:
         # pulls the loop counter into the precision: the bad outcome
         cfa, path = first_spurious_path(fig2_program(10), Heuristic.CLASSIC)
         result = refine_selecting(
-            extract_sliced_prefixes(path), Heuristic.CLASSIC, {}, cfa.variables
+            path, extract_sliced_prefixes(path), Heuristic.CLASSIC, {}, cfa.variables
         )
         tracked = set()
         for loc in cfa.locations:
@@ -228,29 +228,24 @@ class TestScoring:
 
 class TestChoose:
     def test_domain_type_prefers_boolean(self):
-        prefixes = [object(), object()]
         seqs = [seq_over("i"), seq_over("b")]
-        idx = choose_sliced_prefix(prefixes, seqs, Heuristic.DOMAIN_TYPE, TABLE)
-        assert idx == 1
+        assert choose_sliced_prefix(seqs, Heuristic.DOMAIN_TYPE, TABLE) == 1
 
     def test_shortest_takes_first(self):
-        prefixes = [object(), object()]
         seqs = [seq_over("i"), seq_over("b")]
-        assert choose_sliced_prefix(prefixes, seqs, Heuristic.PREFIX_SHORTEST, TABLE) == 0
+        assert choose_sliced_prefix(seqs, Heuristic.PREFIX_SHORTEST, TABLE) == 0
 
     def test_longest_takes_last(self):
-        prefixes = [object(), object()]
         seqs = [seq_over("i"), seq_over("b")]
-        assert choose_sliced_prefix(prefixes, seqs, Heuristic.PREFIX_LONGEST, TABLE) == 1
+        assert choose_sliced_prefix(seqs, Heuristic.PREFIX_LONGEST, TABLE) == 1
 
     def test_tie_breaks_toward_longest(self):
-        prefixes = [object(), object()]
         seqs = [seq_over("b"), seq_over("b")]
-        assert choose_sliced_prefix(prefixes, seqs, Heuristic.DOMAIN_TYPE, TABLE) == 1
+        assert choose_sliced_prefix(seqs, Heuristic.DOMAIN_TYPE, TABLE) == 1
 
     def test_empty_is_contract_error(self):
         with pytest.raises(ValueError):
-            choose_sliced_prefix([], [], Heuristic.DOMAIN_TYPE, TABLE)
+            choose_sliced_prefix([], Heuristic.DOMAIN_TYPE, TABLE)
 
 
 class TestRefineSelecting:
@@ -258,7 +253,7 @@ class TestRefineSelecting:
         cfa, path = first_spurious_path(fig2_program(10))
         table = classify_domain_types(cfa)
         result = refine_selecting(
-            extract_sliced_prefixes(path), Heuristic.DOMAIN_TYPE, table, cfa.variables
+            path, extract_sliced_prefixes(path), Heuristic.DOMAIN_TYPE, table, cfa.variables
         )
         tracked = set()
         for loc in cfa.locations:
@@ -269,6 +264,7 @@ class TestRefineSelecting:
     def test_shortest_on_two_reason_path(self):
         table = {"x": DomainType.INTEGER_OTHER, "y": DomainType.INTEGER_OTHER}
         result = refine_selecting(
+            TWO_REASONS,
             extract_sliced_prefixes(TWO_REASONS),
             Heuristic.PREFIX_SHORTEST,
             table,
@@ -280,7 +276,9 @@ class TestRefineSelecting:
     def test_classic_heuristic_bypasses_selection(self):
         table = {"x": DomainType.INTEGER_OTHER, "y": DomainType.INTEGER_OTHER}
         prefixes = extract_sliced_prefixes(TWO_REASONS)
-        selecting = refine_selecting(prefixes, Heuristic.CLASSIC, table, ["x", "y"])
+        selecting = refine_selecting(
+            TWO_REASONS, prefixes, Heuristic.CLASSIC, table, ["x", "y"]
+        )
         seq, calls = interpolant_sequence(TWO_REASONS, ["x", "y"])
         tracked = {}
         for _, loc, gamma in seq.entries:
@@ -298,11 +296,14 @@ class TestRefineSelecting:
         # whole-path refinement
         checked = 0
         for path, _, variables in spurious_sample:
-            single = extract_sliced_prefixes(extract_sliced_prefixes(path)[0].path)
-            assert len(single) == 1
+            prefix = extract_sliced_prefixes(path)[0]
+            single = extract_sliced_prefixes(prefix)
+            assert single == [prefix]
             table = {x: DomainType.INTEGER_OTHER for x in variables}
-            selecting = refine_selecting(single, Heuristic.DOMAIN_TYPE, table, variables)
-            classic = refine_selecting(single, Heuristic.CLASSIC, table, variables)
+            selecting = refine_selecting(
+                prefix, single, Heuristic.DOMAIN_TYPE, table, variables
+            )
+            classic = refine_selecting(prefix, single, Heuristic.CLASSIC, table, variables)
             assert selecting.precision == classic.precision
             checked += 1
             if checked >= 10:
@@ -313,13 +314,14 @@ class TestRefineSelecting:
     def test_no_prefix_is_contract_error(self, heuristic):
         # a feasible path has no sliced prefix and nothing to refine
         with pytest.raises(ValueError):
-            refine_selecting([], heuristic, {}, ["x"])
+            path = mkpath((assign("x", 0), 1), (assume_cmp("x", "==", 0), 2))
+            refine_selecting(path, [], heuristic, {}, ["x"])
 
     def test_deterministic(self):
         table = {"x": DomainType.INTEGER_OTHER, "y": DomainType.INTEGER_OTHER}
         prefixes = extract_sliced_prefixes(TWO_REASONS)
-        a = refine_selecting(prefixes, Heuristic.DOMAIN_TYPE, table, ["x", "y"])
-        b = refine_selecting(prefixes, Heuristic.DOMAIN_TYPE, table, ["x", "y"])
+        a = refine_selecting(TWO_REASONS, prefixes, Heuristic.DOMAIN_TYPE, table, ["x", "y"])
+        b = refine_selecting(TWO_REASONS, prefixes, Heuristic.DOMAIN_TYPE, table, ["x", "y"])
         assert a.precision == b.precision and a.chosen_index == b.chosen_index
 
 
@@ -329,15 +331,15 @@ class TestProgress:
         for path, _, variables in spurious_sample[:30]:
             table = {x: DomainType.INTEGER_OTHER for x in variables}
             prefixes = extract_sliced_prefixes(path)
-            result = refine_selecting(prefixes, heuristic, table, variables)
+            result = refine_selecting(path, prefixes, heuristic, table, variables)
             assert check_refinement_progress(path, result.precision)
 
     def test_argmin_correctness(self, spurious_sample):
         for path, _, variables in spurious_sample[:30]:
             prefixes = extract_sliced_prefixes(path)
             table = {x: DomainType.INTEGER_OTHER for x in variables}
-            seqs = [interpolant_sequence(p.path, variables)[0] for p in prefixes]
-            chosen = choose_sliced_prefix(prefixes, seqs, Heuristic.DOMAIN_TYPE, table)
+            seqs = [interpolant_sequence(p, variables)[0] for p in prefixes]
+            chosen = choose_sliced_prefix(seqs, Heuristic.DOMAIN_TYPE, table)
             best = score_interpolant_sequence(seqs[chosen], table)
             assert all(
                 best <= score_interpolant_sequence(s, table) for s in seqs
