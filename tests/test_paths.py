@@ -148,6 +148,15 @@ class TestExtraction:
         assert extract_sliced_prefixes(mkpath((assign("x", 0), 1))) == []
         assert extract_sliced_prefixes(mkpath()) == []
 
+    def test_indices_in_emission_order(self):
+        # a prefix's index is its list position: prefix i ends at the i-th
+        # contradicting assume, so the prefixes come out shortest first
+        prefixes = extract_sliced_prefixes(TWO_REASONS)
+        assert [p.steps[-1] for p in prefixes] == [
+            TWO_REASONS.steps[1],
+            TWO_REASONS.steps[3],
+        ]
+
 
 class TestExtractionInvariants:
     def test_harvested_paths(self, spurious_sample):
@@ -182,3 +191,13 @@ class TestRendering:
     def test_plain_path(self):
         text = render_path(mkpath((assign("x", 0), 1), (assume_cmp("x", ">", 0), 2)))
         assert text == "(x := 0, l1)\n([x > 0], l2)"
+
+    def test_replaced_annotation(self):
+        # a replaced assume renders as the NOOP it became, at its own location
+        p = extract_sliced_prefixes(TWO_REASONS)[1]
+        assert render_path(p).splitlines() == [
+            "(x := 0, l1)",
+            "([true], l2)",
+            "(y := 1, l3)",
+            "([y == 0], l4)",
+        ]
