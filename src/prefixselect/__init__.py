@@ -14,7 +14,6 @@ from .interpolation import (
     InterpolantSequence,
     InterpolationError,
     interpolant_sequence,
-    interpolant_to_constraints,
     interpolate,
 )
 from .paths import Path, extract_sliced_prefixes, sp_seq

@@ -300,9 +300,7 @@ def cegar(
             if stats.refinements >= limits.max_refinements:
                 verdict = Verdict("UNKNOWN", reason="refinement-limit")
                 break
-            result = refine_selecting(
-                sigma, prefixes, heuristic, table, cfa.variables, deadline
-            )
+            result = refine_selecting(sigma, prefixes, heuristic, table, deadline)
             widened = widen_to_live_ranges(result.precision, cfa, live)
             if not check_refinement_progress(sigma, widened, deadline):
                 raise RefinementProgressError(

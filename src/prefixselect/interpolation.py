@@ -1,11 +1,15 @@
 """Interpolation for contradicting constraint sequences, solver-free.
 
 An interpolant is an abstract assignment: Top is trivial, Bottom refutes, and
-a map stands for the conjunction of forced equalities ``[x == c]``.  The
-engine is deliberately a fixed black box: variables not shared by both sides
-are dropped, then the rest are greedily eliminated in lexicographic order.
-The caller cannot steer it; refinement quality has to come from choosing the
-interpolation problem, not from tuning this engine.
+a map stands for the conjunction of equalities ``[x == c]``.  The engine is
+deliberately a fixed black box: bindings of variables the second side never
+reads are dropped, then the rest are greedily eliminated in lexicographic
+order.  The caller cannot steer it; refinement quality has to come from
+choosing the interpolation problem, not from tuning this engine.
+
+Inductive interpolation stays in the assignment domain (explicit-value
+interpolation, Beyer and Löwe, FASE 2013): each cut starts from the previous
+interpolant as an assignment and folds in the next operation.
 
 An interpolant sequence replays every suffix of its path many times: once for
 the contract check and once per elimination trial, at each cut.  Those
@@ -20,14 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lang import Assume, Comparison, IntLit, Operation, VarRef, op_variables
+from .lang import Operation, op_variables
 from .paths import Path, Suffix, SuffixReplay, check_deadline, sp_seq
 from .values import BOTTOM, TOP, AbstractAssignment, Assignment, implies
 
 
 class InterpolationError(ValueError):
-    """Contract violation: inputs not jointly contradicting, or Bottom where
-    a non-refuting interpolant is required."""
+    """Contract violation: the inputs do not jointly contradict."""
 
 
 def seq_variables(ops: Sequence[Operation]) -> set[str]:
@@ -38,25 +41,30 @@ def seq_variables(ops: Sequence[Operation]) -> set[str]:
 
 
 def interpolate(
-    gamma_minus: Sequence[Operation], gamma_plus: Sequence[Operation] | Suffix
+    gamma_minus: Sequence[Operation],
+    gamma_plus: Sequence[Operation] | Suffix,
+    v0: AbstractAssignment = TOP,
 ) -> AbstractAssignment:
-    """Interpolant for two jointly contradicting constraint sequences.
+    """Interpolant for ``v0`` and ``gamma_minus`` against ``gamma_plus``,
+    which must jointly contradict.
 
-    Guarantees: (1) gamma_minus implies the result, (2) the result still
-    contradicts gamma_plus, (3) the result only mentions variables occurring
-    syntactically in both sequences.  Deterministic: fixed elimination order.
+    Guarantees: (1) v0 and gamma_minus imply the result, (2) the result still
+    contradicts gamma_plus, (3) the result only mentions variables of ``v0``
+    or gamma_minus that gamma_plus mentions.  Deterministic: fixed
+    elimination order.
 
     ``gamma_plus`` may be a ``paths.Suffix``; its replays then go through the
     memo of the path it views.
     """
     if not isinstance(gamma_plus, Suffix):
         gamma_plus = Suffix(SuffixReplay(gamma_plus), 0)
-    v = sp_seq(gamma_minus)
+    v = sp_seq(gamma_minus, v0)
     if gamma_plus.sp_seq(v) is not BOTTOM:
         raise InterpolationError("constraint sequences are not contradicting")
     if v is BOTTOM:
         return BOTTOM
-    shared = seq_variables(gamma_minus) & gamma_plus.variables
+    # sp binds only names of v0 and gamma_minus, so this keeps the shared ones
+    shared = gamma_plus.variables
     kept = {x: c for x, c in v.items() if x in shared}
     # dropping variables gamma_plus never reads cannot lose the contradiction
     assert gamma_plus.sp_seq(Assignment(kept)) is BOTTOM
@@ -66,19 +74,6 @@ def interpolate(
         if gamma_plus.sp_seq(Assignment(trial)) is BOTTOM:
             kept = trial
     return Assignment(kept)
-
-
-def interpolant_to_constraints(
-    gamma: AbstractAssignment, var_order: Sequence[str]
-) -> tuple[Operation, ...]:
-    """Materialize an interpolant as assume operations, in declaration order."""
-    if gamma is BOTTOM:
-        raise InterpolationError("Bottom interpolant has no constraint form")
-    return tuple(
-        Assume(Comparison("==", VarRef(x), IntLit(gamma[x])))
-        for x in var_order
-        if x in gamma
-    )
 
 
 @dataclass(frozen=True)
@@ -101,14 +96,15 @@ class InterpolantSequence:
 
 
 def interpolant_sequence(
-    path: Path, var_order: Sequence[str], deadline: Optional[float] = None
+    path: Path, deadline: Optional[float] = None
 ) -> tuple[InterpolantSequence, int]:
     """Inductive interpolation along an infeasible path.
 
-    Each step interpolates the previous interpolant (as constraints) plus the
-    next operation against the remaining suffix.  Returns the sequence and the
-    number of interpolation calls made.  Stops early if the interpolant turns
-    Bottom (the path is refuted before its last operation).
+    Each step folds the next operation into the previous interpolant, kept as
+    an assignment, and interpolates that against the remaining suffix.
+    Returns the sequence and the number of interpolation calls made.  Stops
+    early if the interpolant turns Bottom (the path is refuted before its
+    last operation).
 
     Every cut hands ``interpolate`` a view of the same ``SuffixReplay``, so
     suffix replays are memoised per path and each suffix's variables are
@@ -128,8 +124,7 @@ def interpolant_sequence(
     calls = 0
     for i in range(len(ops) - 1):
         check_deadline(deadline)
-        gamma_minus = interpolant_to_constraints(gamma, var_order) + (ops[i],)
-        gamma = interpolate(gamma_minus, Suffix(replay, i + 1))
+        gamma = interpolate((ops[i],), Suffix(replay, i + 1), gamma)
         calls += 1
         entries.append((i, locations[i], gamma))
         if gamma is BOTTOM:

@@ -380,7 +380,6 @@ def refine_selecting(
     prefixes: Sequence[Path],
     heuristic: Heuristic,
     table: Mapping[str, DomainType],
-    var_order: Sequence[str],
     deadline: Optional[float] = None,
 ) -> RefinementResult:
     """Refinement of the infeasible error path ``path``, given its sliced
@@ -395,12 +394,12 @@ def refine_selecting(
     if not prefixes:
         raise ValueError("refinement requires an infeasible path")
     if heuristic is Heuristic.CLASSIC:
-        seq, calls = interpolant_sequence(path, var_order, deadline)
+        seq, calls = interpolant_sequence(path, deadline)
         return RefinementResult(_precision_of(seq), 0, None, None, calls)
     sequences = []
     calls = 0
     for prefix in prefixes:
-        seq, n = interpolant_sequence(prefix, var_order, deadline)
+        seq, n = interpolant_sequence(prefix, deadline)
         sequences.append(seq)
         calls += n
     chosen = choose_sliced_prefix(sequences, heuristic, table)

@@ -180,10 +180,10 @@ def test_prefix_extraction_matches_oracle(capfd, harvest500):
 
 def test_prefix_interpolants_transfer_to_original_path(capfd, harvest500):
     with announce(capfd, "prefix interpolants valid for the original path"):
-        for path, _, variables in harvest500:
+        for path, _, _ in harvest500:
             full_ops = path.ops
             for prefix in extract_sliced_prefixes(path):
-                seq, _ = interpolant_sequence(prefix, variables)
+                seq, _ = interpolant_sequence(prefix)
                 for pos, _, gamma in seq.entries:
                     assert check_interpolant(
                         gamma, full_ops[: pos + 1], full_ops[pos + 1 :]

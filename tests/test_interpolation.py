@@ -14,7 +14,6 @@ from prefixselect.interpolation import (
     InterpolationError,
     check_interpolant,
     interpolant_sequence,
-    interpolant_to_constraints,
     interpolate,
     seq_variables,
 )
@@ -30,14 +29,22 @@ from prefixselect.refinement import Precision
 from prefixselect.values import BOTTOM, TOP, Assignment
 
 
-def reference_sequence(path, var_order):
+def as_constraints(gamma):
+    """An interpolant as the ``x == c`` assumes it stands for, by name."""
+    return tuple(
+        Assume(Comparison("==", VarRef(x), IntLit(gamma[x]))) for x in sorted(gamma)
+    )
+
+
+def reference_sequence(path):
     """Inductive interpolation with one independent ``interpolate`` call per
-    cut on a plain slice of the path, each checked against the contract."""
+    cut on a plain slice of the path, each checked against the contract: the
+    previous interpolant enters the cut as constraints, not as a start."""
     ops = path.ops
     gamma = TOP
     entries = []
     for i in range(len(ops) - 1):
-        gamma_minus = interpolant_to_constraints(gamma, var_order) + (ops[i],)
+        gamma_minus = as_constraints(gamma) + (ops[i],)
         gamma_plus = ops[i + 1 :]
         gamma = interpolate(gamma_minus, gamma_plus)
         assert check_interpolant(gamma, gamma_minus, gamma_plus)
@@ -105,36 +112,49 @@ class TestInterpolate:
                         assert sp_seq(ops[cut:], weaker) is not BOTTOM
 
 
-class TestToConstraints:
-    def test_single_binding(self):
-        ops = interpolant_to_constraints(Assignment({"b": 1}), ["b", "i"])
-        assert ops == (Assume(Comparison("==", VarRef("b"), IntLit(1))),)
+class TestStart:
+    def test_constraints_round_trip_through_sp(self):
+        # the test helper's constraint form stands for the same assignment
+        assert as_constraints(Assignment({"b": 1})) == (
+            Assume(Comparison("==", VarRef("b"), IntLit(1))),
+        )
+        assert as_constraints(TOP) == ()
+        gamma = Assignment({"y": -2, "x": 1})
+        assert sp_seq(as_constraints(gamma), TOP) == gamma
 
-    def test_top_is_empty(self):
-        assert interpolant_to_constraints(TOP, ["x"]) == ()
+    def test_start_is_kept_when_read(self):
+        gamma = interpolate(
+            [assign("i", 0)], [assume_cmp("b", "==", 0)], Assignment({"b": 1})
+        )
+        assert gamma == Assignment({"b": 1})
 
-    def test_declaration_order(self):
-        ops = interpolant_to_constraints(Assignment({"y": 2, "x": 1}), ["x", "y"])
-        rendered = [op.pred.left.name for op in ops]
-        assert rendered == ["x", "y"]
+    def test_bottom_start_gives_bottom(self):
+        assert interpolate([assign("x", 1)], [assign("y", 0)], BOTTOM) is BOTTOM
 
-    def test_bottom_is_contract_error(self):
-        with pytest.raises(InterpolationError):
-            interpolant_to_constraints(BOTTOM, ["x"])
-
-    def test_roundtrip_through_sp(self):
-        gamma = Assignment({"x": 1, "y": -2})
-        ops = interpolant_to_constraints(gamma, ["x", "y"])
-        assert sp_seq(ops, TOP) == gamma
+    def test_start_matches_constraint_form(self, spurious_sample):
+        # starting the fold from v0 gives what folding v0's constraints first
+        # gives; v0 is each interpolant of the prefix's sequence, which
+        # contradicts the rest of the prefix
+        checked = 0
+        for path, _, _ in spurious_sample[:40]:
+            for prefix in extract_sliced_prefixes(path):
+                seq, _ = interpolant_sequence(prefix)
+                for pos, _, v0 in seq.entries:
+                    ops = prefix.ops[pos + 1 :]
+                    for cut in range(len(ops)):
+                        expected = interpolate(as_constraints(v0) + ops[:cut], ops[cut:])
+                        assert interpolate(ops[:cut], ops[cut:], v0) == expected
+                        checked += 1
+        assert checked > 0
 
 
 class TestSequences:
     def test_inductive_recurrence(self, spurious_sample):
         # each interpolant, conjoined with the next operation, implies a
         # refutation of the remaining suffix
-        for path, _, variables in spurious_sample[:30]:
+        for path, _, _ in spurious_sample[:30]:
             for prefix in extract_sliced_prefixes(path):
-                seq, calls = interpolant_sequence(prefix, variables)
+                seq, calls = interpolant_sequence(prefix)
                 ops = prefix.ops
                 assert calls == len(seq.entries)
                 for pos, loc, gamma in seq.entries:
@@ -144,9 +164,9 @@ class TestSequences:
     def test_proposition_prefix_interpolants_transfer(self, spurious_sample):
         # interpolants computed from a sliced prefix's split also satisfy the
         # interpolant conditions for the original path's split at the same cut
-        for path, _, variables in spurious_sample[:30]:
+        for path, _, _ in spurious_sample[:30]:
             for prefix in extract_sliced_prefixes(path):
-                seq, _ = interpolant_sequence(prefix, variables)
+                seq, _ = interpolant_sequence(prefix)
                 full_ops = path.ops
                 for pos, _, gamma in seq.entries:
                     minus, plus = full_ops[: pos + 1], full_ops[pos + 1 :]
@@ -156,21 +176,21 @@ class TestSequences:
         # one memoised replay shared by all cuts gives what interpolating each
         # cut on its own gives, on whole error paths and on sliced prefixes
         checked = 0
-        for path, _, variables in spurious_sample:
+        for path, _, _ in spurious_sample:
             for p in [path] + extract_sliced_prefixes(path):
-                assert interpolant_sequence(p, variables) == reference_sequence(p, variables)
+                assert interpolant_sequence(p) == reference_sequence(p)
                 checked += 1
         assert checked > len(spurious_sample)
 
     def test_feasible_path_is_contract_error(self):
         path = Path(((assign("x", 1), 1), (assume_cmp("x", "==", 1), 2), (assign("y", 0), 3)))
         with pytest.raises(InterpolationError, match="not contradicting"):
-            interpolant_sequence(path, ["x", "y"])
+            interpolant_sequence(path)
 
     def test_deadline_passed(self, spurious_sample):
-        path, _, variables = spurious_sample[0]
+        path, _, _ = spurious_sample[0]
         with pytest.raises(LimitReached) as exc:
-            interpolant_sequence(path, variables, time.perf_counter() - 1.0)
+            interpolant_sequence(path, time.perf_counter() - 1.0)
         assert exc.value.reason == "timeout"
 
     def test_sweep_deadline_passed(self, spurious_sample):
@@ -211,7 +231,7 @@ class TestSequences:
 
             with monkeypatch.context() as m:
                 m.setattr(paths, "sp", counted)
-                interpolant_sequence(prefix, cfa.variables)
+                interpolant_sequence(prefix)
             return calls
 
         assert sp_calls(200) <= 2.2 * sp_calls(100)
@@ -224,7 +244,7 @@ class TestSequences:
                 (assume_cmp("b", "==", 0), 3),
             )
         )
-        seq, _ = interpolant_sequence(path, ["b", "i"])
+        seq, _ = interpolant_sequence(path)
         assert seq.variables() == {"b"}
 
 

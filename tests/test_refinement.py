@@ -56,7 +56,7 @@ class TestRefineClassic:
     def test_two_step_path(self):
         path = mkpath((assign("x", 0), 1), (assume_cmp("x", ">", 0), 2))
         result = refine_selecting(
-            path, extract_sliced_prefixes(path), Heuristic.CLASSIC, {}, ["x"]
+            path, extract_sliced_prefixes(path), Heuristic.CLASSIC, {}
         )
         assert result.precision.at(1) == {"x"}
         assert result.precision.at(2) == frozenset()
@@ -68,7 +68,7 @@ class TestRefineClassic:
             (assume_cmp("b", "==", 0), 3),
         )
         result = refine_selecting(
-            path, extract_sliced_prefixes(path), Heuristic.CLASSIC, {}, ["b", "i"]
+            path, extract_sliced_prefixes(path), Heuristic.CLASSIC, {}
         )
         assert result.precision.at(1) == {"b"}
         assert result.precision.at(2) == {"b"}
@@ -78,7 +78,7 @@ class TestRefineClassic:
         # pulls the loop counter into the precision: the bad outcome
         cfa, path = first_spurious_path(fig2_program(10), Heuristic.CLASSIC)
         result = refine_selecting(
-            path, extract_sliced_prefixes(path), Heuristic.CLASSIC, {}, cfa.variables
+            path, extract_sliced_prefixes(path), Heuristic.CLASSIC, {}
         )
         tracked = set()
         for loc in cfa.locations:
@@ -253,7 +253,7 @@ class TestRefineSelecting:
         cfa, path = first_spurious_path(fig2_program(10))
         table = classify_domain_types(cfa)
         result = refine_selecting(
-            path, extract_sliced_prefixes(path), Heuristic.DOMAIN_TYPE, table, cfa.variables
+            path, extract_sliced_prefixes(path), Heuristic.DOMAIN_TYPE, table
         )
         tracked = set()
         for loc in cfa.locations:
@@ -268,7 +268,6 @@ class TestRefineSelecting:
             extract_sliced_prefixes(TWO_REASONS),
             Heuristic.PREFIX_SHORTEST,
             table,
-            ["x", "y"],
         )
         assert result.precision.at(1) == {"x"}
         assert result.prefix_count == 2 and result.chosen_index == 0
@@ -276,10 +275,8 @@ class TestRefineSelecting:
     def test_classic_heuristic_bypasses_selection(self):
         table = {"x": DomainType.INTEGER_OTHER, "y": DomainType.INTEGER_OTHER}
         prefixes = extract_sliced_prefixes(TWO_REASONS)
-        selecting = refine_selecting(
-            TWO_REASONS, prefixes, Heuristic.CLASSIC, table, ["x", "y"]
-        )
-        seq, calls = interpolant_sequence(TWO_REASONS, ["x", "y"])
+        selecting = refine_selecting(TWO_REASONS, prefixes, Heuristic.CLASSIC, table)
+        seq, calls = interpolant_sequence(TWO_REASONS)
         tracked = {}
         for _, loc, gamma in seq.entries:
             names = extract_precision(gamma)
@@ -300,10 +297,8 @@ class TestRefineSelecting:
             single = extract_sliced_prefixes(prefix)
             assert single == [prefix]
             table = {x: DomainType.INTEGER_OTHER for x in variables}
-            selecting = refine_selecting(
-                prefix, single, Heuristic.DOMAIN_TYPE, table, variables
-            )
-            classic = refine_selecting(prefix, single, Heuristic.CLASSIC, table, variables)
+            selecting = refine_selecting(prefix, single, Heuristic.DOMAIN_TYPE, table)
+            classic = refine_selecting(prefix, single, Heuristic.CLASSIC, table)
             assert selecting.precision == classic.precision
             checked += 1
             if checked >= 10:
@@ -315,13 +310,13 @@ class TestRefineSelecting:
         # a feasible path has no sliced prefix and nothing to refine
         with pytest.raises(ValueError):
             path = mkpath((assign("x", 0), 1), (assume_cmp("x", "==", 0), 2))
-            refine_selecting(path, [], heuristic, {}, ["x"])
+            refine_selecting(path, [], heuristic, {})
 
     def test_deterministic(self):
         table = {"x": DomainType.INTEGER_OTHER, "y": DomainType.INTEGER_OTHER}
         prefixes = extract_sliced_prefixes(TWO_REASONS)
-        a = refine_selecting(TWO_REASONS, prefixes, Heuristic.DOMAIN_TYPE, table, ["x", "y"])
-        b = refine_selecting(TWO_REASONS, prefixes, Heuristic.DOMAIN_TYPE, table, ["x", "y"])
+        a = refine_selecting(TWO_REASONS, prefixes, Heuristic.DOMAIN_TYPE, table)
+        b = refine_selecting(TWO_REASONS, prefixes, Heuristic.DOMAIN_TYPE, table)
         assert a.precision == b.precision and a.chosen_index == b.chosen_index
 
 
@@ -331,14 +326,14 @@ class TestProgress:
         for path, _, variables in spurious_sample[:30]:
             table = {x: DomainType.INTEGER_OTHER for x in variables}
             prefixes = extract_sliced_prefixes(path)
-            result = refine_selecting(path, prefixes, heuristic, table, variables)
+            result = refine_selecting(path, prefixes, heuristic, table)
             assert check_refinement_progress(path, result.precision)
 
     def test_argmin_correctness(self, spurious_sample):
         for path, _, variables in spurious_sample[:30]:
             prefixes = extract_sliced_prefixes(path)
             table = {x: DomainType.INTEGER_OTHER for x in variables}
-            seqs = [interpolant_sequence(p, variables)[0] for p in prefixes]
+            seqs = [interpolant_sequence(p)[0] for p in prefixes]
             chosen = choose_sliced_prefix(seqs, Heuristic.DOMAIN_TYPE, table)
             best = score_interpolant_sequence(seqs[chosen], table)
             assert all(
