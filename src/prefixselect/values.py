@@ -279,6 +279,9 @@ def sp(op: Operation, v: AbstractAssignment) -> AbstractAssignment:
             return v
         m = dict(m)
         m.update(forced)
+        # a conjunct that was Unknown may be False under the forced bindings
+        if eval_pred(op.pred, m) is ThreeValued.FALSE:
+            return BOTTOM
         return Assignment._own(m)
     x = op.var
     value = eval_expr(op.expr, m) if isinstance(op, Assign) else None  # nondet unbinds

@@ -361,6 +361,13 @@ class TestCegar:
         assert sp_seq(verdict.witness.ops) is not BOTTOM
         assert verdict.witness.locations[-1] == cfa.error
 
+    @pytest.mark.parametrize("heuristic", list(Heuristic))
+    def test_forced_binding_refuting_its_guard_is_safe(self, heuristic):
+        # d == 6 forces d := 6, under which d <= 3 is False: no input errs
+        cfa = load_cfa("var d; d := nondet(); if (d == 6 && d <= 3) { error; }")
+        verdict, _ = cegar(cfa, heuristic)
+        assert verdict.kind == "TRUE"
+
     def test_no_error_location(self):
         cfa = load_cfa("var x; x := 1; x := x + 1;")
         verdict, stats = cegar(cfa, Heuristic.CLASSIC)

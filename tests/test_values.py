@@ -103,7 +103,8 @@ def conjoin(v, v2):
 
 def reference_sp(op, v):
     """The strongest post as defined: drop the assigned variable with
-    ``without``, then ``conjoin`` the new binding or the forced ones."""
+    ``without``, then ``conjoin`` the new binding or the forced ones; an
+    assume that is False under its forced bindings is Bottom."""
     if v is BOTTOM:
         return BOTTOM
     if isinstance(op, Assign):
@@ -124,7 +125,10 @@ def reference_sp(op, v):
                 if value is not None:
                     forced = conjoin(forced, Assignment({var_side.name: value}))
                     break
-    return conjoin(v, forced)
+    post = conjoin(v, forced)
+    if post is not BOTTOM and eval_pred(op.pred, post) is ThreeValued.FALSE:
+        return BOTTOM
+    return post
 
 
 class TestAssignment:
@@ -235,6 +239,17 @@ class TestSp:
         copy = Assume(Comparison("==", VarRef("y"), VarRef("x")))
         assert sp(copy, Assignment({"x": 3})) == Assignment({"x": 3, "y": 3})
 
+    def test_forced_binding_refutes_other_conjunct(self):
+        # x == 6 forces x := 6, under which x <= 3 is False
+        op = Assume(
+            And(
+                Comparison("==", VarRef("x"), IntLit(6)),
+                Comparison("<=", VarRef("x"), IntLit(3)),
+            )
+        )
+        assert sp(op, TOP) is BOTTOM
+        assert sp(op, Assignment({"y": 1})) is BOTTOM
+
     def test_contradicting_assume(self):
         op = Assume(Comparison("<", VarRef("x"), IntLit(3)))
         assert sp(op, Assignment({"x": 5})) is BOTTOM
@@ -275,6 +290,11 @@ class TestSp:
         post = sp(Assume(p), v)
         if post is not BOTTOM:
             assert set(post) <= set(v) | pred_variables(p)
+
+    @given(forcing_preds, nonbottom)
+    def test_post_does_not_refute_its_assume(self, p, v):
+        post = sp(Assume(p), v)
+        assert post is BOTTOM or eval_pred(p, post) is not ThreeValued.FALSE
 
     @given(preds, nonbottom)
     def test_false_predicate_iff_bottom_when_defined(self, p, v):
