@@ -186,7 +186,8 @@ def _strongly_connected_components(succ: Mapping[int, Iterable[int]]) -> list[li
 def classify_domain_types(cfa: ControlFlowAutomaton) -> dict[str, DomainType]:
     """Classify every declared variable as boolean, loop counter, or other.
 
-    Loop counter: an x := x ± literal update on a CFA cycle whose cycle also
+    Loop counter: an x := x ± literal update on an edge inside a cyclic
+    strongly connected component of the CFA, one of whose inner edges also
     carries an assume mentioning x.  Boolean: all assignments are 0/1 literals
     or copies of booleans, all predicate occurrences are ==/!= against 0/1 or
     booleans (greatest fixpoint).  Precedence: loop counter > boolean > other.
@@ -196,26 +197,25 @@ def classify_domain_types(cfa: ControlFlowAutomaton) -> dict[str, DomainType]:
         succ[src].add(dst)
 
     scc_of: dict[int, int] = {}
-    cyclic_sccs: set[int] = set()
     for idx, comp in enumerate(_strongly_connected_components(succ)):
         for loc in comp:
             scc_of[loc] = idx
-        if len(comp) > 1 or any(l in succ[l] for l in comp):
-            cyclic_sccs.add(idx)
 
+    # an edge whose ends share a component lies on a cycle of that component
+    updates: dict[int, set[str]] = {}
+    assume_vars: dict[int, set[str]] = {}
+    for src, op, dst in cfa.edges:
+        scc = scc_of[src]
+        if scc != scc_of[dst]:
+            continue
+        x = _is_counter_update(op)
+        if x is not None:
+            updates.setdefault(scc, set()).add(x)
+        if isinstance(op, Assume):
+            assume_vars.setdefault(scc, set()).update(pred_variables(op.pred))
     loop_counters: set[str] = set()
-    for scc_idx in cyclic_sccs:
-        updates: set[str] = set()
-        assume_vars: set[str] = set()
-        for src, op, dst in cfa.edges:
-            if scc_of[src] != scc_idx or scc_of[dst] != scc_idx:
-                continue
-            x = _is_counter_update(op)
-            if x is not None:
-                updates.add(x)
-            if isinstance(op, Assume):
-                assume_vars |= pred_variables(op.pred)
-        loop_counters |= updates & assume_vars
+    for scc, names in updates.items():
+        loop_counters |= names & assume_vars.get(scc, set())
 
     # boolean fixpoint
     candidates = set(cfa.variables)

@@ -111,6 +111,18 @@ class TestClassify:
         assert table["k"] is DomainType.LOOP_COUNTER
         assert table["i"] is DomainType.INTEGER_OTHER
 
+    def test_counter_rule_is_per_loop(self):
+        # i is incremented in the first loop and only compared in the second:
+        # no single cycle both updates and guards it
+        cfa = load_cfa(
+            "var i, j; i := 0; j := 0;"
+            "while (j < 3) { i := i + 1; j := j + 1; }"
+            "while (i < 10) { j := j + 1; }"
+        )
+        table = classify_domain_types(cfa)
+        assert table["j"] is DomainType.LOOP_COUNTER
+        assert table["i"] is DomainType.INTEGER_OTHER
+
     def test_boolean_copy_chain(self):
         cfa = load_cfa("var p, q; p := 1; q := p; if (q != 0) { p := 0; }")
         table = classify_domain_types(cfa)
