@@ -1,7 +1,7 @@
 """Command-line interface: verify, bench, gen.
 
 Exit codes for ``verify``: 0 TRUE, 1 FALSE, 2 UNKNOWN, 3 input error (also
-a file that is not UTF-8, an expression deeper than ``frontend.MAX_DEPTH``
+a file that is not UTF-8, nesting deeper than ``frontend.MAX_DEPTH``
 and an integer literal too long to convert), 4 internal error (the checker
 crashed; there is no verdict).  ``bench`` reports a task with an input error
 as ``UNKNOWN(error)`` and a crashed run as ``UNKNOWN(internal-error)``.  A

@@ -9,13 +9,25 @@ Grammar (EBNF)::
              | "while" "(" pred ")" block
              | "assume" "(" pred ")" ";" | "error" ";" ;
     block    = "{" { stmt } "}" ;
+    pred     = pred ( "||" | "&&" ) pred | "!" pred | expr cmp expr
+             | "(" pred ")" | "true" | "false" ;
+    expr     = expr ( "+" | "-" | "*" | "/" | "%" ) expr | "-" expr
+             | "(" expr ")" | integer | ident ;
+    cmp      = "==" | "!=" | "<" | "<=" | ">" | ">=" ;
+
+Infix operators bind as ``lang.BINDING_POWER`` says; comparisons do not
+chain, ``!`` takes a comparison or anything tighter, and unary ``-`` takes
+an atom, a bracketed expression or another negation.  One precedence-climbing
+loop reads both kinds of formula without backtracking: it checks whether an
+operand is an expression or a predicate when it applies an operator to it.
 
 Comments run from ``//`` to end of line.  All variables must be declared
 before the statement list; integers are arbitrary precision, but a literal
 with more digits than ``int()`` converts (4300 by default) is a ParseError
 ("integer literal too long").  An expression or predicate tree deeper than
-``MAX_DEPTH`` is a ParseError ("nested too deeply"): evaluating, hashing and
-rendering such trees recurses once per level.
+``MAX_DEPTH``, and a block nested inside more than ``MAX_DEPTH`` others, is
+a ParseError ("nested too deeply"): evaluating, hashing, rendering and
+building the automaton recurse once per level.
 
 The tokenizer turns the source into ``(text, offset)`` pairs, ending with
 ``("", len(source))``; the parser tests token text alone.  A token that
@@ -27,10 +39,8 @@ offset only when the error is raised.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, TypeVar
+from typing import Callable, TypeVar, get_args
 
 from .lang import (
     And,
@@ -39,9 +49,12 @@ from .lang import (
     AssignStmt,
     Assume,
     AssumeStmt,
+    BINDING_POWER,
     BinaryOp,
     BoolLit,
+    CMP_POWER,
     Comparison,
+    EXPR_POWER,
     ErrorStmt,
     Expr,
     IfStmt,
@@ -52,6 +65,7 @@ from .lang import (
     Not,
     Operation,
     Or,
+    PREFIX_POWER,
     Pred,
     Program,
     Stmt,
@@ -61,9 +75,10 @@ from .lang import (
 )
 
 
-#: Deepest expression or predicate tree a statement may hold.  Evaluating,
-#: hashing and rendering a tree recurse once per level and exhaust Python's
-#: default recursion limit from about 1000 levels; the bound keeps clear of
+#: Deepest expression or predicate tree a statement may hold, and deepest
+#: nesting of blocks.  Evaluating, hashing, rendering and building the
+#: automaton recurse once or a few times per level and exhaust Python's
+#: default recursion limit from about 1000 frames; the bound keeps clear of
 #: that, also for a checker called from a deep stack.
 MAX_DEPTH = 256
 
@@ -77,11 +92,6 @@ class ParseError(ValueError):
         super().__init__("%d:%d: %s" % (line, col, message))
         self.line = line
         self.col = col
-
-
-class _TokenError(ParseError):
-    """An undeclared name or an over-long literal: an error under every parse
-    of the tokens around it, so ``pred_atom`` does not backtrack over it."""
 
 
 # whitespace and comments match no group and are dropped; any other
@@ -98,7 +108,8 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"var", "if", "else", "while", "assume", "error", "nondet", "true", "false"}
 
-_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+_PRED_NODES = get_args(Pred)
+_JOINS = {"&&": And, "||": Or}
 
 
 def _is_name(text: str) -> bool:
@@ -130,6 +141,7 @@ class _Parser:
         self.tokens.append(("", len(source)))
         self.i = 0
         self.declared: list[str] = []
+        self.nesting = 0  # blocks open around the current token
 
     # -- token helpers --
 
@@ -137,17 +149,10 @@ class _Parser:
     def text(self) -> str:
         return self.tokens[self.i][0]
 
-    @cached_property
-    def _newlines(self) -> list[int]:
-        """Offsets of the newlines, found once: ``pred_atom`` backtracks over
-        an error per parenthesized comparison, and counting each time from
-        the start of the source would make parsing quadratic."""
-        return [m.start() for m in re.finditer("\n", self.source)]
-
-    def _error_at(self, message: str, offset: int, kind=ParseError) -> ParseError:
-        before = bisect_left(self._newlines, offset)
-        line_start = self._newlines[before - 1] + 1 if before else 0
-        return kind(message, before + 1, offset - line_start + 1)
+    def _error_at(self, message: str, offset: int) -> ParseError:
+        line_start = self.source.rfind("\n", 0, offset) + 1
+        line = self.source.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - line_start + 1)
 
     def _error(self, message: str) -> ParseError:
         return self._error_at(message, self.tokens[self.i][1])
@@ -175,13 +180,13 @@ class _Parser:
     def _check_declared(self, token: tuple[str, int]) -> str:
         name, offset = token
         if name not in self.declared:
-            raise self._error_at("undeclared variable %r" % name, offset, _TokenError)
+            raise self._error_at("undeclared variable %r" % name, offset)
         return name
 
-    def bounded(self, parse: Callable[[], _Tree]) -> _Tree:
-        """``parse()``, rejected if its tree is deeper than MAX_DEPTH."""
+    def bounded(self, parse: Callable[[int], _Tree], power: int) -> _Tree:
+        """``parse(power)``, rejected if its tree is deeper than MAX_DEPTH."""
         start = self.i
-        tree = parse()
+        tree = parse(power)
         # every node consumes a token of its own, so a short tree is shallow
         if self.i - start > MAX_DEPTH and _depth(tree) > MAX_DEPTH:
             raise self._error_at(
@@ -211,17 +216,21 @@ class _Parser:
         return Program(tuple(self.declared), tuple(body))
 
     def block(self) -> tuple[Stmt, ...]:
+        if self.nesting == MAX_DEPTH:
+            raise self._error("block nested too deeply (depth above %d)" % MAX_DEPTH)
         self.expect("{")
+        self.nesting += 1
         body = []
         while not self.accept("}"):
             if not self.text:
                 raise self._error("unterminated block")
             body.append(self.stmt())
+        self.nesting -= 1
         return tuple(body)
 
     def condition(self) -> Pred:
         self.expect("(")
-        cond = self.bounded(self.pred)
+        cond = self.bounded(self.predicate, 0)
         self.expect(")")
         return cond
 
@@ -249,98 +258,76 @@ class _Parser:
             self.expect(")")
             self.expect(";")
             return NondetStmt(name)
-        exp = self.bounded(self.expr)
+        exp = self.bounded(self.formula, EXPR_POWER)
         self.expect(";")
         return AssignStmt(name, exp)
 
-    # expressions: + - below * / %
+    # -- formulas: expressions and predicates, by lang.BINDING_POWER --
 
-    def expr(self) -> Expr:
-        left = self.term()
-        while (op := self.text) in ("+", "-"):
+    def formula(self, power: int) -> Expr | Pred:
+        """A prefix followed by the infix operators of ``power`` and up.
+
+        From EXPR_POWER up only an expression is read.  An operator whose left
+        operand is of the wrong kind, such as a second comparison, ends the
+        formula and is left for the caller to report.
+        """
+        left = self.prefix(power)
+        while (op := self.text) in BINDING_POWER and BINDING_POWER[op] >= power:
+            own = BINDING_POWER[op]
+            if (own < CMP_POWER) != isinstance(left, _PRED_NODES):
+                break
             self.i += 1
-            left = BinaryOp(op, left, self.term())
+            if op in _JOINS:
+                left = _JOINS[op](left, self.predicate(own + 1))
+            else:
+                node = Comparison if own == CMP_POWER else BinaryOp
+                left = node(op, left, self.formula(own + 1))
         return left
 
-    def term(self) -> Expr:
-        left = self.factor()
-        while (op := self.text) in ("*", "/", "%"):
-            self.i += 1
-            left = BinaryOp(op, left, self.factor())
-        return left
+    def predicate(self, power: int) -> Pred:
+        tree = self.formula(power)
+        if not isinstance(tree, _PRED_NODES):
+            raise self._found("comparison operator")
+        return tree
 
-    def factor(self) -> Expr:
-        if self.accept("-"):
-            return Negate(self.factor())
+    def prefix(self, power: int) -> Expr | Pred:
+        """A bracketed formula, a negation or an atom; from EXPR_POWER up,
+        only one that starts an expression."""
+        text, offset = self.tokens[self.i]
+        if power < EXPR_POWER:
+            if self.accept("!"):
+                # a run of ! recurses through prefix alone, one frame per !
+                if self.text == "!":
+                    return Not(self.prefix(CMP_POWER))
+                return Not(self.predicate(CMP_POWER))
+            if text in ("true", "false"):
+                self.i += 1
+                return BoolLit(text == "true")
         if self.accept("("):
-            exp = self.expr()
+            inner = self.formula(0 if power < EXPR_POWER else EXPR_POWER)
             self.expect(")")
-            return exp
-        token = self.tokens[self.i]
-        text = token[0]
+            return inner
+        if self.accept("-"):
+            return Negate(self.prefix(PREFIX_POWER))
         if text[:1].isdigit():
             self.i += 1
             try:
                 return IntLit(int(text))
             except ValueError:  # more digits than int() converts
-                raise self._error_at(
-                    "integer literal too long", token[1], _TokenError
-                ) from None
+                raise self._error_at("integer literal too long", offset) from None
         if _is_name(text):
             self.i += 1
-            return VarRef(self._check_declared(token))
+            return VarRef(self._check_declared((text, offset)))
         raise self._found("expression")
-
-    # predicates: || below && below ! / atoms
-
-    def pred(self) -> Pred:
-        left = self.conj()
-        while self.accept("||"):
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self) -> Pred:
-        left = self.pred_atom()
-        while self.accept("&&"):
-            left = And(left, self.pred_atom())
-        return left
-
-    def pred_atom(self) -> Pred:
-        if self.accept("!"):
-            return Not(self.pred_atom())
-        if self.accept("true"):
-            return BoolLit(True)
-        if self.accept("false"):
-            return BoolLit(False)
-        if self.text == "(":
-            # could be a parenthesized predicate or a parenthesized expression
-            # starting a comparison; try predicate first, fall back to expr
-            # on a syntax error
-            save = self.i
-            self.i += 1
-            try:
-                inner = self.pred()
-                self.expect(")")
-                if self.text in _COMPARISONS:
-                    raise self._error("comparison of predicates")
-                return inner
-            except _TokenError:
-                raise
-            except ParseError:
-                self.i = save
-        left = self.expr()
-        if (op := self.text) in _COMPARISONS:
-            self.i += 1
-            return Comparison(op, left, self.expr())
-        raise self._found("comparison operator")
 
 
 def parse(source: str) -> Program:
     """Parse source text into a Program AST.
 
     Raises ParseError (with line/column) on syntax errors, use of undeclared
-    variables, duplicate declarations, an expression deeper than MAX_DEPTH,
-    or a program nested too deeply for the recursive parser.
+    variables, duplicate declarations, an expression or a block nesting
+    deeper than MAX_DEPTH, or a program nested too deeply for the recursive
+    parser.
     """
     return _Parser(source).program()
 
@@ -466,7 +453,7 @@ def build_cfa(program: Program) -> ControlFlowAutomaton:
 
 def load_cfa(source: str) -> ControlFlowAutomaton:
     """Parse and build; raises ParseError on any input ``parse`` rejects,
-    and on a program nested too deeply for the recursive CFA builder."""
+    and on a program nested too deeply for the CFA builder's stack."""
     parser = _Parser(source)
     try:
         return build_cfa(parser.program())

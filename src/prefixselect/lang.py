@@ -141,49 +141,61 @@ def op_variables(op: Operation) -> set[str]:
     return pred_variables(op.pred)
 
 
-# --- rendering --------------------------------------------------------------
+# --- operators and rendering ------------------------------------------------
 
-_EXPR_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
+#: Binding power of each infix operator: a higher power binds tighter, and
+#: operators of equal power associate to the left.  The parser and the
+#: renderers read precedence from this table alone.
+BINDING_POWER = {
+    "||": 1,
+    "&&": 2,
+    **dict.fromkeys(("==", "!=", "<", "<=", ">", ">="), 3),
+    **dict.fromkeys(("+", "-"), 4),
+    **dict.fromkeys(("*", "/", "%"), 5),
+}
+#: An operand read at power p takes the infix operators of power p and up.
+#: Comparisons sit between the operators that join predicates and those that
+#: join expressions, and do not chain.  ``!`` reads its operand at
+#: CMP_POWER, so ``!x == 1`` is ``!(x == 1)``; an expression is read at
+#: EXPR_POWER; unary ``-`` reads its operand at PREFIX_POWER, above every
+#: infix operator.
+CMP_POWER = BINDING_POWER["=="]
+EXPR_POWER = CMP_POWER + 1
+PREFIX_POWER = max(BINDING_POWER.values()) + 1
 
 
-def render_expr(exp: Expr, parent_prec: int = 0) -> str:
+def render_expr(exp: Expr, power: int = EXPR_POWER) -> str:
+    """Render an expression read at ``power``, bracketed if it binds looser."""
     if isinstance(exp, IntLit):
         return str(exp.value)
     if isinstance(exp, VarRef):
         return exp.name
     if isinstance(exp, Negate):
-        return "-" + render_expr(exp.operand, 3)
-    prec = _EXPR_PREC[exp.op]
-    # right child gets a stricter bound: -, /, % are left-associative
+        return "-" + render_expr(exp.operand, PREFIX_POWER)
+    own = BINDING_POWER[exp.op]
     text = "%s %s %s" % (
-        render_expr(exp.left, prec),
+        render_expr(exp.left, own),
         exp.op,
-        render_expr(exp.right, prec + 1),
+        render_expr(exp.right, own + 1),
     )
-    if prec < parent_prec:
-        return "(" + text + ")"
-    return text
+    return "(%s)" % text if own < power else text
 
 
-_PRED_PREC = {"||": 1, "&&": 2}
-
-
-def render_pred(p: Pred, parent_prec: int = 0) -> str:
+def render_pred(p: Pred, power: int = 0) -> str:
+    """Render a predicate read at ``power``, bracketed if it binds looser."""
     if isinstance(p, BoolLit):
         return "true" if p.value else "false"
     if isinstance(p, Comparison):
         text = "%s %s %s" % (render_expr(p.left), p.op, render_expr(p.right))
-        if parent_prec > 0:
-            return "(" + text + ")"
-        return text
+        # bracketed wherever it is an operand, which keeps guards readable
+        return "(%s)" % text if power else text
     if isinstance(p, Not):
-        return "!" + render_pred(p.operand, 3)
-    sym = "&&" if isinstance(p, And) else "||"
-    prec = _PRED_PREC[sym]
-    text = "%s %s %s" % (render_pred(p.left, prec), sym, render_pred(p.right, prec))
-    if prec < parent_prec:
-        return "(" + text + ")"
-    return text
+        return "!" + render_pred(p.operand, CMP_POWER)
+    op = "&&" if isinstance(p, And) else "||"
+    own = BINDING_POWER[op]
+    # && and || are associative, so neither side of a chain is bracketed
+    text = "%s %s %s" % (render_pred(p.left, own), op, render_pred(p.right, own))
+    return "(%s)" % text if own < power else text
 
 
 def render_op(op: Operation) -> str:

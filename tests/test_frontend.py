@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import INT_DIGITS, needs_digit_limit
+from test_values import VARS, nonbottom
 from prefixselect.frontend import (
     MAX_DEPTH,
     ParseError,
@@ -13,6 +15,7 @@ from prefixselect.frontend import (
 )
 from prefixselect.generators import fig2_program, random_program
 from prefixselect.lang import (
+    And,
     Assign,
     AssignStmt,
     Assume,
@@ -20,17 +23,59 @@ from prefixselect.lang import (
     BoolLit,
     Comparison,
     IntLit,
+    Negate,
     NOOP,
     Not,
+    Or,
     Program,
     VarRef,
+    render_pred,
     render_program,
 )
+from prefixselect.values import eval_pred
 
 FIG2 = (
     "var b,i; b := 1; i := 0; "
     "while (i < 1000) { i := i + 1; } "
     "if (b == 0) { error; }"
+)
+
+# predicates that open with a bracket, rendered or not
+BRACKETED = [
+    "(x + 1) * 2 == 3 && !((y)) >= -x",
+    "!(x) < 1",
+    "((x == 1)) || (x) == (y)",
+    "!!(x < y) && (-(x + 1) <= (y) % 2 || false)",
+    "(((x + y) * z)) / (2) != (x)",
+]
+
+exprs = st.recursive(
+    st.one_of(st.integers(0, 5).map(IntLit), st.sampled_from(VARS).map(VarRef)),
+    lambda inner: st.one_of(
+        inner.map(Negate),
+        st.builds(BinaryOp, st.sampled_from(["+", "-", "*", "/", "%"]), inner, inner),
+    ),
+    max_leaves=5,
+)
+# a sum under a product renders in brackets
+bracketed_exprs = st.builds(
+    BinaryOp,
+    st.sampled_from(["*", "/", "%"]),
+    st.builds(BinaryOp, st.sampled_from(["+", "-"]), exprs, exprs),
+    exprs,
+)
+comparisons = st.builds(
+    Comparison,
+    st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+    st.one_of(exprs, bracketed_exprs),
+    exprs,
+)
+preds = st.recursive(
+    st.one_of(st.booleans().map(BoolLit), comparisons),
+    lambda inner: st.one_of(
+        inner.map(Not), st.builds(And, inner, inner), st.builds(Or, inner, inner)
+    ),
+    max_leaves=5,
 )
 
 
@@ -61,7 +106,7 @@ class TestParse:
             ("var x, x;", "1:8: duplicate declaration of 'x'"),
             ("var x;\n  x := y;", "2:8: undeclared variable 'y'"),
             ("var x;\nif (x == 1) {\n  x := 2;\n", "4:1: unterminated block"),
-            ("var x;\nassume((x < 1) == 1);", "2:11: expected ')', found '<'"),
+            ("var x;\nassume((x < 1) == 1);", "2:16: expected ')', found '=='"),
             ("var x; assume((x == y));", "1:21: undeclared variable 'y'"),
             pytest.param(
                 "var x; assume((x == %s));" % ("9" * (INT_DIGITS + 1)),
@@ -118,6 +163,40 @@ class TestParse:
     def test_roundtrip_flag_loop(self):
         first = parse(FIG2)
         assert parse(render_program(first)) == first
+
+    @given(preds, nonbottom)
+    def test_roundtrip_generated_predicates(self, p, v):
+        text = render_pred(p)
+        parsed = parse("var x, y, z; assume(%s);" % text).body[0].pred
+        assert render_pred(parsed) == text
+        assert eval_pred(parsed, v) is eval_pred(p, v)
+
+    def test_bracketed_operands(self):
+        program = parse("var x, y; assume(%s);" % BRACKETED[0])
+        x, y, one = VarRef("x"), VarRef("y"), IntLit(1)
+        assert program.body[0].pred == And(
+            Comparison("==", BinaryOp("*", BinaryOp("+", x, one), IntLit(2)), IntLit(3)),
+            Not(Comparison(">=", y, Negate(x))),
+        )
+        # ! reads a comparison
+        assert parse("var x, y; assume(!x == 1 && y == 2);").body[0].pred == And(
+            Not(Comparison("==", x, one)), Comparison("==", y, IntLit(2))
+        )
+
+    def test_parser_never_backtracks(self, monkeypatch):
+        built = []
+        init = ParseError.__init__
+
+        def counting_init(error, *args):
+            built.append(args)
+            init(error, *args)
+
+        monkeypatch.setattr(ParseError, "__init__", counting_init)
+        sources = [FIG2] + [random_program(3, i) for i in range(12)]
+        sources += ["var x, y, z; assume(%s);" % p for p in BRACKETED]
+        for source in sources:
+            parse(source)
+        assert built == []
 
 
 class TestBuildCfa:
@@ -200,8 +279,8 @@ class TestBuildCfa:
         [
             # the parser's recursion overflows, the same error from either entry
             ("var x; x := %s1%s;" % ("(" * 3000, ")" * 3000), (load_cfa, parse)),
-            # nested blocks: the CFA builder recurses as deep as the parser
-            ("var x; %sx := 1;%s" % ("if (x == 0) { " * 400, " }" * 400), (load_cfa,)),
+            # nested blocks: rejected by the parser's block bound
+            ("var x; %sx := 1;%s" % ("if (x == 0) { " * 400, " }" * 400), (load_cfa, parse)),
         ],
         ids=["parentheses", "blocks"],
     )
@@ -223,11 +302,17 @@ class TestBuildCfa:
             (lambda d: "var x; assume(%s);" % " && ".join(["x == 1"] * (d - 1)), 15),
             (lambda d: "var x; if (%sx == 1) { x := 1; }" % ("!" * (d - 2)), 12),
             (lambda d: "var x; while (%s) { x := 0; }" % " || ".join(["x > 0"] * (d - 1)), 15),
+            # d nested blocks; the column is the "{" of the one too deep
+            (
+                lambda d: "var x; %sx := 1;%s" % ("if (x == 0) { " * d, " }" * d),
+                len("var x; ") + len("if (x == 0) { ") * MAX_DEPTH + len("if (x == 0) {"),
+            ),
         ],
-        ids=["sum", "negation", "conjunction", "not", "loop-condition"],
+        ids=["sum", "negation", "conjunction", "not", "loop-condition", "blocks"],
     )
     def test_depth_bound(self, program, column):
-        load_cfa(program(MAX_DEPTH))
+        # at the bound, neither the parser nor the CFA builder overflows
+        build_cfa(parse(program(MAX_DEPTH)))
         with pytest.raises(ParseError, match="nested too deeply") as exc:
             load_cfa(program(MAX_DEPTH + 1))
         assert (exc.value.line, exc.value.col) == (1, column)
