@@ -23,7 +23,6 @@ from .refinement import (
     Precision,
     choose_sliced_prefix,
     classify_domain_types,
-    extract_precision,
     refine_selecting,
     score_interpolant_sequence,
 )
@@ -31,11 +30,8 @@ from .values import (
     BOTTOM,
     TOP,
     Assignment,
-    ThreeValued,
-    eval_expr,
-    eval_pred,
+    evaluate,
     implies,
-    render_assignment,
     restrict,
     sp,
 )

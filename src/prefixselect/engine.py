@@ -273,8 +273,10 @@ def cegar(
 
     ``timeout`` bounds the run's wall time in seconds: ``reach`` checks it
     before each state it expands, interpolation before each cut, and each
-    whole-path pass every ``paths.CLOCK_STRIDE`` steps.  A run that hits it
-    or the state limit returns UNKNOWN with the counters so far.
+    whole-path pass every ``paths.CLOCK_STRIDE`` steps.  A run that hits it,
+    the state limit or the value limit (a product of more than
+    ``values.MAX_VALUE_BITS`` bits) returns UNKNOWN with the counters so far:
+    ``timeout``, ``state-limit`` or ``value-limit``.
     """
     stats = RunStats()
     start = time.perf_counter()

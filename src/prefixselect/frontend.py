@@ -359,8 +359,7 @@ class ControlFlowAutomaton:
 
 
 class _CfaBuilder:
-    def __init__(self, variables: tuple[str, ...]):
-        self.variables = variables
+    def __init__(self):
         self.next_loc = 0
         self.edges: list[tuple[int, Operation, int]] = []
         self.error_loc: int | None = None
@@ -422,7 +421,7 @@ def build_cfa(program: Program) -> ControlFlowAutomaton:
     renumbered in creation order, so identical source yields identical
     automata.
     """
-    b = _CfaBuilder(program.variables)
+    b = _CfaBuilder()
     initial = b.fresh()
     if program.body:
         b.block(program.body, initial, b.fresh())

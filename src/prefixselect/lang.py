@@ -102,31 +102,18 @@ Operation = Union[Assign, AssignNondet, Assume]
 NOOP: Operation = Assume(TRUE)
 
 
-def is_noop(op: Operation) -> bool:
-    return op == NOOP
-
-
 # --- variable collection ----------------------------------------------------
 
 
-def expr_variables(exp: Expr) -> set[str]:
-    if isinstance(exp, IntLit):
+def tree_variables(tree: Expr | Pred) -> set[str]:
+    """Variables occurring in an expression or predicate."""
+    if isinstance(tree, VarRef):
+        return {tree.name}
+    if isinstance(tree, (IntLit, BoolLit)):
         return set()
-    if isinstance(exp, VarRef):
-        return {exp.name}
-    if isinstance(exp, Negate):
-        return expr_variables(exp.operand)
-    return expr_variables(exp.left) | expr_variables(exp.right)
-
-
-def pred_variables(p: Pred) -> set[str]:
-    if isinstance(p, BoolLit):
-        return set()
-    if isinstance(p, Comparison):
-        return expr_variables(p.left) | expr_variables(p.right)
-    if isinstance(p, Not):
-        return pred_variables(p.operand)
-    return pred_variables(p.left) | pred_variables(p.right)
+    if isinstance(tree, (Negate, Not)):
+        return tree_variables(tree.operand)
+    return tree_variables(tree.left) | tree_variables(tree.right)
 
 
 def op_variables(op: Operation) -> set[str]:
@@ -135,17 +122,17 @@ def op_variables(op: Operation) -> set[str]:
     A no-op contributes no variables (its predicate is the literal true).
     """
     if isinstance(op, Assign):
-        return {op.var} | expr_variables(op.expr)
+        return {op.var} | tree_variables(op.expr)
     if isinstance(op, AssignNondet):
         return {op.var}
-    return pred_variables(op.pred)
+    return tree_variables(op.pred)
 
 
 # --- operators and rendering ------------------------------------------------
 
 #: Binding power of each infix operator: a higher power binds tighter, and
 #: operators of equal power associate to the left.  The parser and the
-#: renderers read precedence from this table alone.
+#: renderer read precedence from this table alone.
 BINDING_POWER = {
     "||": 1,
     "&&": 2,
@@ -164,46 +151,41 @@ EXPR_POWER = CMP_POWER + 1
 PREFIX_POWER = max(BINDING_POWER.values()) + 1
 
 
-def render_expr(exp: Expr, power: int = EXPR_POWER) -> str:
-    """Render an expression read at ``power``, bracketed if it binds looser."""
-    if isinstance(exp, IntLit):
-        return str(exp.value)
-    if isinstance(exp, VarRef):
-        return exp.name
-    if isinstance(exp, Negate):
-        return "-" + render_expr(exp.operand, PREFIX_POWER)
-    own = BINDING_POWER[exp.op]
-    text = "%s %s %s" % (
-        render_expr(exp.left, own),
-        exp.op,
-        render_expr(exp.right, own + 1),
-    )
-    return "(%s)" % text if own < power else text
-
-
-def render_pred(p: Pred, power: int = 0) -> str:
-    """Render a predicate read at ``power``, bracketed if it binds looser."""
-    if isinstance(p, BoolLit):
-        return "true" if p.value else "false"
-    if isinstance(p, Comparison):
-        text = "%s %s %s" % (render_expr(p.left), p.op, render_expr(p.right))
-        # bracketed wherever it is an operand, which keeps guards readable
-        return "(%s)" % text if power else text
-    if isinstance(p, Not):
-        return "!" + render_pred(p.operand, CMP_POWER)
-    op = "&&" if isinstance(p, And) else "||"
+def render_tree(tree: Expr | Pred, power: int = 0) -> str:
+    """Render an expression or predicate read at ``power``, bracketed if it
+    binds looser."""
+    if isinstance(tree, IntLit):
+        return str(tree.value)
+    if isinstance(tree, VarRef):
+        return tree.name
+    if isinstance(tree, BoolLit):
+        return "true" if tree.value else "false"
+    if isinstance(tree, Negate):
+        return "-" + render_tree(tree.operand, PREFIX_POWER)
+    if isinstance(tree, Not):
+        return "!" + render_tree(tree.operand, CMP_POWER)
+    if isinstance(tree, (And, Or)):
+        op = "&&" if isinstance(tree, And) else "||"
+        # && and || are associative, so neither side of a chain is bracketed
+        right = BINDING_POWER[op]
+    else:
+        op = tree.op
+        right = BINDING_POWER[op] + 1
     own = BINDING_POWER[op]
-    # && and || are associative, so neither side of a chain is bracketed
-    text = "%s %s %s" % (render_pred(p.left, own), op, render_pred(p.right, own))
-    return "(%s)" % text if own < power else text
+    text = "%s %s %s" % (render_tree(tree.left, own), op, render_tree(tree.right, right))
+    # a comparison is bracketed wherever it is an operand, which keeps guards
+    # readable
+    if own < power or (power and isinstance(tree, Comparison)):
+        return "(%s)" % text
+    return text
 
 
 def render_op(op: Operation) -> str:
     if isinstance(op, Assign):
-        return "%s := %s" % (op.var, render_expr(op.expr))
+        return "%s := %s" % (op.var, render_tree(op.expr))
     if isinstance(op, AssignNondet):
         return "%s := nondet()" % op.var
-    return "[%s]" % render_pred(op.pred)
+    return "[%s]" % render_tree(op.pred)
 
 
 # --- statements / program ---------------------------------------------------
@@ -255,15 +237,15 @@ class Program:
 def _render_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
     pad = "  " * indent
     if isinstance(stmt, AssignStmt):
-        out.append("%s%s := %s;" % (pad, stmt.var, render_expr(stmt.expr)))
+        out.append("%s%s := %s;" % (pad, stmt.var, render_tree(stmt.expr)))
     elif isinstance(stmt, NondetStmt):
         out.append("%s%s := nondet();" % (pad, stmt.var))
     elif isinstance(stmt, AssumeStmt):
-        out.append("%sassume(%s);" % (pad, render_pred(stmt.pred)))
+        out.append("%sassume(%s);" % (pad, render_tree(stmt.pred)))
     elif isinstance(stmt, ErrorStmt):
         out.append("%serror;" % pad)
     elif isinstance(stmt, IfStmt):
-        out.append("%sif (%s) {" % (pad, render_pred(stmt.cond)))
+        out.append("%sif (%s) {" % (pad, render_tree(stmt.cond)))
         for s in stmt.then_body:
             _render_stmt(s, indent + 1, out)
         if stmt.else_body is None:
@@ -274,7 +256,7 @@ def _render_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
                 _render_stmt(s, indent + 1, out)
             out.append("%s}" % pad)
     else:
-        out.append("%swhile (%s) {" % (pad, render_pred(stmt.cond)))
+        out.append("%swhile (%s) {" % (pad, render_tree(stmt.cond)))
         for s in stmt.body:
             _render_stmt(s, indent + 1, out)
         out.append("%s}" % pad)

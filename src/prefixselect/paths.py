@@ -18,20 +18,11 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .lang import NOOP, Assume, Operation, op_variables, render_op
-from .values import BOTTOM, TOP, AbstractAssignment, Assignment, sp
+from .values import BOTTOM, TOP, AbstractAssignment, Assignment, LimitReached, sp
 
 
 #: Steps of a whole-path pass between two readings of the clock.
 CLOCK_STRIDE = 4096
-
-
-class LimitReached(Exception):
-    """A run hit one of its limits; ``reason`` is the UNKNOWN reason
-    (``"timeout"`` or ``"state-limit"``)."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 def check_deadline(deadline: Optional[float], step: int = 0) -> None:

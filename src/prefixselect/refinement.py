@@ -31,8 +31,7 @@ from .lang import (
     IntLit,
     Pred,
     VarRef,
-    expr_variables,
-    pred_variables,
+    tree_variables,
 )
 from .interpolation import InterpolantSequence, interpolant_sequence
 from .paths import Path, check_deadline
@@ -79,13 +78,6 @@ class Precision:
         return sum(len(s) for s in self.tracked.values())
 
 
-def extract_precision(gamma: AbstractAssignment) -> frozenset[str]:
-    """Variables an interpolant references."""
-    if gamma is BOTTOM:
-        return frozenset()
-    return frozenset(gamma)
-
-
 # --- domain-type classification ----------------------------------------------
 
 
@@ -124,11 +116,11 @@ def _direct_comparisons(p: Pred):
                     if isinstance(side, VarRef):
                         yield side.name, other
                     else:
-                        for x in expr_variables(side):
+                        for x in tree_variables(side):
                             yield x, None
             else:
                 for side in (node.left, node.right):
-                    for x in expr_variables(side):
+                    for x in tree_variables(side):
                         yield x, None
         elif hasattr(node, "left"):
             stack.append(node.left)
@@ -212,7 +204,7 @@ def classify_domain_types(cfa: ControlFlowAutomaton) -> dict[str, DomainType]:
         if x is not None:
             updates.setdefault(scc, set()).add(x)
         if isinstance(op, Assume):
-            assume_vars.setdefault(scc, set()).update(pred_variables(op.pred))
+            assume_vars.setdefault(scc, set()).update(tree_variables(op.pred))
     loop_counters: set[str] = set()
     for scc, names in updates.items():
         loop_counters |= names & assume_vars.get(scc, set())
@@ -272,9 +264,9 @@ def live_locations(cfa: ControlFlowAutomaton) -> dict[str, frozenset[int]]:
     preds: dict[int, list[tuple[int, Optional[str]]]] = {l: [] for l in cfa.locations}
     for src, op, dst in cfa.edges:
         if isinstance(op, Assume):
-            used, killed = pred_variables(op.pred), None
+            used, killed = tree_variables(op.pred), None
         else:
-            used = expr_variables(op.expr) if isinstance(op, Assign) else set()
+            used = tree_variables(op.expr) if isinstance(op, Assign) else set()
             killed = None if op.var in used else op.var
         for x in used:
             readers[x].append(src)
@@ -369,9 +361,8 @@ def _precision_of(seq: InterpolantSequence) -> Precision:
     """Per-location union of the variables each interpolant references."""
     tracked: dict[int, frozenset[str]] = {}
     for _, loc, gamma in seq.entries:
-        names = extract_precision(gamma)
-        if names:
-            tracked[loc] = tracked.get(loc, frozenset()) | names
+        if gamma is not BOTTOM and gamma:
+            tracked[loc] = tracked.get(loc, frozenset()).union(gamma)
     return Precision(tracked)
 
 

@@ -2,8 +2,9 @@
 
 An abstract assignment is either Bottom (empty concretization) or a partial
 map from variables to arbitrary-precision integers; the empty map is Top.
-Predicates evaluate three-valued: Unknown whenever a referenced variable is
-outside the definition range.
+``evaluate`` computes expressions and predicates alike.  A value is None
+(undefined) when it needs a variable outside the definition range, and the
+truth of a predicate is True, False or None (Kleene's Unknown).
 
 Assignments are immutable, so the transformers share them: ``sp`` and
 ``restrict`` return their input when it does not change and otherwise copy
@@ -13,7 +14,7 @@ and most calls change no binding or one.
 
 from __future__ import annotations
 
-import enum
+import operator
 from typing import Iterable, Mapping, Optional, Union
 
 from .lang import (
@@ -124,12 +125,6 @@ TOP = Assignment()
 AbstractAssignment = Union[Assignment, _BottomType]
 
 
-class ThreeValued(enum.Enum):
-    TRUE = "true"
-    FALSE = "false"
-    UNKNOWN = "unknown"
-
-
 def implies(v: AbstractAssignment, v2: AbstractAssignment) -> bool:
     """v implies v2: v is Bottom, or v agrees with v2 on all of def(v2)."""
     if v is BOTTOM:
@@ -150,80 +145,96 @@ def restrict(v: AbstractAssignment, tracked: Iterable[str]) -> AbstractAssignmen
     return Assignment._own({x: c for x, c in m.items() if x in keep})
 
 
-def eval_expr(exp: Expr, v: Mapping[str, int]) -> Optional[int]:
-    """Evaluate an expression under an assignment.
+class LimitReached(Exception):
+    """A run hit one of its limits; ``reason`` is the UNKNOWN reason
+    (``"timeout"``, ``"state-limit"`` or ``"value-limit"``)."""
 
-    Returns None (undefined) when a referenced variable is unbound or a
-    division/modulo by zero occurs.  Division truncates toward zero.
-    """
-    if isinstance(exp, IntLit):
-        return exp.value
-    if isinstance(exp, VarRef):
-        return v[exp.name] if exp.name in v else None
-    if isinstance(exp, Negate):
-        inner = eval_expr(exp.operand, v)
-        return None if inner is None else -inner
-    left = eval_expr(exp.left, v)
-    right = eval_expr(exp.right, v)
-    if left is None or right is None:
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
+#: Bits a product may have.  Squaring in a loop doubles a value's size each
+#: time, and one such ``sp`` call can outlast any deadline, so a larger
+#: product ends the run UNKNOWN(value-limit).  Every literal ``int()`` parses
+#: under its default 4300-digit limit is below the bound.
+MAX_VALUE_BITS = 1 << 16
+
+
+def _multiply(a: int, b: int) -> int:
+    product = a * b
+    if product.bit_length() > MAX_VALUE_BITS:
+        raise LimitReached("value-limit")
+    return product
+
+
+def _divide(a: int, b: int) -> Optional[int]:
+    """Quotient truncated toward zero; None on a zero divisor."""
+    if b == 0:
         return None
-    if exp.op == "+":
-        return left + right
-    if exp.op == "-":
-        return left - right
-    if exp.op == "*":
-        return left * right
-    if right == 0:
-        return None
-    q = abs(left) // abs(right)
-    if (left < 0) != (right < 0):
-        q = -q
-    if exp.op == "/":
-        return q
-    return left - right * q  # %
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
 
 
-_CMP = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+def _remainder(a: int, b: int) -> Optional[int]:
+    """``a - b * (a / b)``, so it has the sign of ``a``; None on a zero divisor."""
+    q = _divide(a, b)
+    return None if q is None else a - b * q
+
+
+#: What each arithmetic operator and comparison computes from two defined
+#: operands.
+_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": _multiply,
+    "/": _divide,
+    "%": _remainder,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
-def eval_pred(p: Pred, v: Mapping[str, int]) -> ThreeValued:
-    """Kleene three-valued evaluation of a predicate under an assignment."""
-    if isinstance(p, BoolLit):
-        return ThreeValued.TRUE if p.value else ThreeValued.FALSE
-    if isinstance(p, Comparison):
-        left = eval_expr(p.left, v)
-        right = eval_expr(p.right, v)
-        if left is None or right is None:
-            return ThreeValued.UNKNOWN
-        return ThreeValued.TRUE if _CMP[p.op](left, right) else ThreeValued.FALSE
-    if isinstance(p, Not):
-        inner = eval_pred(p.operand, v)
-        if inner is ThreeValued.TRUE:
-            return ThreeValued.FALSE
-        if inner is ThreeValued.FALSE:
-            return ThreeValued.TRUE
-        return ThreeValued.UNKNOWN
-    left = eval_pred(p.left, v)
-    right = eval_pred(p.right, v)
-    if isinstance(p, And):
-        if left is ThreeValued.FALSE or right is ThreeValued.FALSE:
-            return ThreeValued.FALSE
-        if left is ThreeValued.TRUE and right is ThreeValued.TRUE:
-            return ThreeValued.TRUE
-        return ThreeValued.UNKNOWN
-    # Or
-    if left is ThreeValued.TRUE or right is ThreeValued.TRUE:
-        return ThreeValued.TRUE
-    if left is ThreeValued.FALSE and right is ThreeValued.FALSE:
-        return ThreeValued.FALSE
-    return ThreeValued.UNKNOWN
+def evaluate(tree: Expr | Pred, v: Mapping[str, int]) -> Union[int, bool, None]:
+    """The value of an expression, or the truth of a predicate, under ``v``.
+
+    None means undefined: a referenced variable is unbound, a divisor is
+    zero, or a predicate is Unknown in Kleene's three-valued logic.  Raises
+    LimitReached("value-limit") on a product of more than MAX_VALUE_BITS
+    bits.
+    """
+    cls = type(tree)
+    if cls is Comparison or cls is BinaryOp:
+        left = evaluate(tree.left, v)
+        if left is None:
+            return None
+        right = evaluate(tree.right, v)
+        if right is None:
+            return None
+        return _OPS[tree.op](left, right)
+    if cls is VarRef:
+        return v.get(tree.name)
+    if cls is IntLit or cls is BoolLit:
+        return tree.value
+    if cls is And or cls is Or:
+        # a side equal to ``decided`` decides the result; evaluation has no
+        # side effects, so the other side may be skipped
+        decided = cls is Or
+        left = evaluate(tree.left, v)
+        if left is decided:
+            return decided
+        right = evaluate(tree.right, v)
+        if right is decided:
+            return decided
+        return None if left is None or right is None else not decided
+    inner = evaluate(tree.operand, v)
+    if inner is None:
+        return None
+    return -inner if cls is Negate else not inner
 
 
 def _conjuncts(p: Pred) -> Iterable[Pred]:
@@ -234,12 +245,12 @@ def _conjuncts(p: Pred) -> Iterable[Pred]:
         yield p
 
 
-def _forced_bindings(p: Pred, v: Mapping[str, int]) -> Union[dict[str, int], _BottomType]:
+def _forced_bindings(p: Pred, v: Mapping[str, int]) -> dict[str, int]:
     """Bindings forced by an assume, extracted from top-level conjuncts.
 
     Only syntactic equality patterns are considered: ``x == e`` or ``e == x``
-    where x is unbound in v and e evaluates under v.  Conflicting forced
-    bindings yield Bottom.
+    where x is unbound in v and e evaluates under v.  The first binding of a
+    name wins; a conjunct that forces another value is False under it.
     """
     bindings: dict[str, int] = {}
     for c in _conjuncts(p):
@@ -247,10 +258,9 @@ def _forced_bindings(p: Pred, v: Mapping[str, int]) -> Union[dict[str, int], _Bo
             continue
         for var_side, other_side in ((c.left, c.right), (c.right, c.left)):
             if isinstance(var_side, VarRef) and var_side.name not in v:
-                value = eval_expr(other_side, v)
+                value = evaluate(other_side, v)
                 if value is not None:
-                    if bindings.setdefault(var_side.name, value) != value:
-                        return BOTTOM
+                    bindings.setdefault(var_side.name, value)
                     break
     return bindings
 
@@ -265,26 +275,25 @@ def sp(op: Operation, v: AbstractAssignment) -> AbstractAssignment:
         return BOTTOM
     m = v._m
     if isinstance(op, Assume):
-        truth = eval_pred(op.pred, m)
-        if truth is ThreeValued.FALSE:
+        truth = evaluate(op.pred, m)
+        if truth is False:
             return BOTTOM
-        if truth is ThreeValued.TRUE:
+        if truth:
             # an ``x == e`` conjunct with x unbound is Unknown, so a True
             # assume forces no binding
             return v
         forced = _forced_bindings(op.pred, m)
-        if forced is BOTTOM:
-            return BOTTOM
         if not forced:
             return v
         m = dict(m)
         m.update(forced)
-        # a conjunct that was Unknown may be False under the forced bindings
-        if eval_pred(op.pred, m) is ThreeValued.FALSE:
+        # a conjunct that was Unknown may be False under the forced bindings,
+        # among them one that forces a name a value other than the first
+        if evaluate(op.pred, m) is False:
             return BOTTOM
         return Assignment._own(m)
     x = op.var
-    value = eval_expr(op.expr, m) if isinstance(op, Assign) else None  # nondet unbinds
+    value = evaluate(op.expr, m) if isinstance(op, Assign) else None  # nondet unbinds
     if m.get(x) == value:  # bound to the same value, or unbound and staying so
         return v
     m = dict(m)
@@ -293,11 +302,3 @@ def sp(op: Operation, v: AbstractAssignment) -> AbstractAssignment:
     else:
         m[x] = value
     return Assignment._own(m)
-
-
-def render_assignment(v: AbstractAssignment, var_order: Iterable[str]) -> str:
-    """Stable textual rendering: ``⊥`` or ``{x=1, y=2}`` in declaration order."""
-    if v is BOTTOM:
-        return "⊥"
-    parts = ["%s=%d" % (x, v[x]) for x in var_order if x in v]
-    return "{%s}" % ", ".join(parts)

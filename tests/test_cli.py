@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -166,6 +167,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 2
         assert "RESULT: UNKNOWN(timeout)" in out
+
+    def test_value_limit_unknown(self, tmp_path, capsys):
+        # each pass squares x, so its size doubles until the product bound
+        p = tmp_path / "square.imp"
+        p.write_text(
+            "var x; x := 2; while (x != 0) { x := x * x; } error;", encoding="utf-8"
+        )
+        start = time.perf_counter()
+        code = main(["verify", str(p), "--timeout", "10"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().out.rstrip().splitlines()[-1] == (
+            "RESULT: UNKNOWN(value-limit)"
+        )
 
     def test_timeout_reports_elapsed_time(self, tmp_path, capsys):
         p = tmp_path / "slow.imp"

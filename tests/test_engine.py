@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import random
 import time
 
@@ -19,7 +22,20 @@ from prefixselect.engine import (
 )
 from prefixselect.frontend import load_cfa
 from prefixselect.generators import fig2_program, random_program
-from prefixselect.lang import Assign, Assume, IntLit, is_noop
+from prefixselect.lang import (
+    NOOP,
+    And,
+    Assign,
+    AssignNondet,
+    Assume,
+    BinaryOp,
+    BoolLit,
+    IntLit,
+    Negate,
+    Not,
+    Or,
+    VarRef,
+)
 from prefixselect.paths import LimitReached, Path, sp_seq
 from prefixselect.refinement import Heuristic, Precision, check_refinement_progress
 from prefixselect.values import BOTTOM, TOP, Assignment, restrict, sp
@@ -50,7 +66,7 @@ class TestReach:
         ops = path.ops
         assert isinstance(ops[0], Assign) and ops[0].expr == IntLit(0)
         assert isinstance(ops[1], Assume)
-        assert is_noop(ops[2])
+        assert ops[2] == NOOP
         assert path.locations[-1] == cfa.error
 
     def test_untracked_loop_head_stabilizes(self):
@@ -467,6 +483,112 @@ class TestSoundness:
             assert found is None
         elif verdict.kind == "FALSE":
             assert sp_seq(verdict.witness.ops) is not BOTTOM
+
+
+#: Initial values and ``nondet()`` draws of the concrete search.
+CONCRETE_VALUES = range(-2, 3)
+#: Steps after which the concrete search stops.
+CONCRETE_STEPS = 200
+
+_CONCRETE_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def concrete(tree, env):
+    """Two-valued evaluation over concrete integers, written apart from
+    ``values``.  Raises ZeroDivisionError on a zero divisor."""
+    if isinstance(tree, (IntLit, BoolLit)):
+        return tree.value
+    if isinstance(tree, VarRef):
+        return env[tree.name]
+    if isinstance(tree, Negate):
+        return -concrete(tree.operand, env)
+    if isinstance(tree, Not):
+        return not concrete(tree.operand, env)
+    if isinstance(tree, And):
+        return concrete(tree.left, env) and concrete(tree.right, env)
+    if isinstance(tree, Or):
+        return concrete(tree.left, env) or concrete(tree.right, env)
+    a, b = concrete(tree.left, env), concrete(tree.right, env)
+    if tree.op in ("/", "%"):
+        q = abs(a) // abs(b)  # truncates toward zero
+        q = q if (a < 0) == (b < 0) else -q
+        return q if tree.op == "/" else a - b * q
+    return _CONCRETE_OPS[tree.op](a, b)
+
+
+def concrete_posts(op, env):
+    """The concrete states one edge leads to from ``env``.  A zero divisor
+    ends the path there: the search finds fewer paths, never a false one."""
+    if isinstance(op, AssignNondet):
+        return [{**env, op.var: c} for c in CONCRETE_VALUES]
+    try:
+        if isinstance(op, Assign):
+            return [{**env, op.var: concrete(op.expr, env)}]
+        return [env] if concrete(op.pred, env) else []
+    except ZeroDivisionError:
+        return []
+
+
+@functools.lru_cache(maxsize=None)
+def concrete_error_reachable(source):
+    """Breadth-first search over concrete (location, values) states from
+    every initial state over CONCRETE_VALUES, for up to CONCRETE_STEPS
+    steps; True when one reaches the error location."""
+    cfa = load_cfa(source)
+    if cfa.error is None:
+        return False
+    names = cfa.variables
+    frontier = [
+        (cfa.initial, values)
+        for values in itertools.product(CONCRETE_VALUES, repeat=len(names))
+    ]
+    seen = set(frontier)
+    for _ in range(CONCRETE_STEPS):
+        successors = []
+        for loc, values in frontier:
+            if loc == cfa.error:
+                return True
+            env = dict(zip(names, values))
+            for op, dst in cfa.out_edges(loc):
+                for post in concrete_posts(op, env):
+                    state = (dst, tuple(post[x] for x in names))
+                    if state not in seen:
+                        seen.add(state)
+                        successors.append(state)
+        frontier = successors
+    return any(loc == cfa.error for loc, _ in frontier)
+
+
+class TestConcreteOracle:
+    """No TRUE verdict has a concrete path to ``error``.  The search does not
+    use ``sp``, so it does not share the blind spot of TestSoundness."""
+
+    def test_oracle_finds_concrete_errors(self):
+        assert concrete_error_reachable("var x; x := nondet(); if (x == -2) { error; }")
+        assert not concrete_error_reachable("var x; x := nondet(); if (x == 3) { error; }")
+        assert concrete_error_reachable(fig2_program(10).replace("b == 0", "b == 1"))
+
+    @pytest.mark.parametrize("heuristic", list(Heuristic))
+    def test_true_has_no_concrete_error_path(self, heuristic):
+        sources = [random_program(13, i) for i in range(10)]
+        sources += [random_program(7, i) for i in range(120)]
+        trues = 0
+        for source in sources:
+            verdict, _ = cegar(load_cfa(source), heuristic)
+            if verdict.kind == "TRUE":
+                trues += 1
+                assert not concrete_error_reachable(source), source
+        assert trues
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")

@@ -29,10 +29,10 @@ from prefixselect.lang import (
     Or,
     Program,
     VarRef,
-    render_pred,
     render_program,
+    render_tree,
 )
-from prefixselect.values import eval_pred
+from prefixselect.values import evaluate
 
 FIG2 = (
     "var b,i; b := 1; i := 0; "
@@ -166,10 +166,10 @@ class TestParse:
 
     @given(preds, nonbottom)
     def test_roundtrip_generated_predicates(self, p, v):
-        text = render_pred(p)
+        text = render_tree(p)
         parsed = parse("var x, y, z; assume(%s);" % text).body[0].pred
-        assert render_pred(parsed) == text
-        assert eval_pred(parsed, v) is eval_pred(p, v)
+        assert render_tree(parsed) == text
+        assert evaluate(parsed, v) is evaluate(p, v)
 
     def test_bracketed_operands(self):
         program = parse("var x, y; assume(%s);" % BRACKETED[0])

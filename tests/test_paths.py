@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import assign, assume_cmp, mkpath
-from prefixselect.lang import NOOP, Assume, AssignNondet, is_noop, op_variables
+from prefixselect.lang import NOOP, Assume, AssignNondet, op_variables
 from prefixselect.paths import (
     CLOCK_STRIDE,
     LimitReached,
@@ -107,7 +107,7 @@ def replaced_positions(prefix: Path, path: Path) -> set[int]:
     return {
         pos
         for pos, ((op, _), (orig, _)) in enumerate(zip(prefix, path))
-        if op != orig and is_noop(op) and isinstance(orig, Assume)
+        if op != orig and op == NOOP and isinstance(orig, Assume)
     }
 
 

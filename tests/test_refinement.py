@@ -8,7 +8,7 @@ from prefixselect.engine import cegar, extract_error_path, reach
 from prefixselect.frontend import load_cfa
 from prefixselect.generators import fig2_program, random_program
 from prefixselect.interpolation import InterpolantSequence, interpolant_sequence
-from prefixselect.lang import Assign, AssignNondet, expr_variables, pred_variables
+from prefixselect.lang import Assign, AssignNondet, tree_variables
 from prefixselect.paths import extract_sliced_prefixes
 from prefixselect.refinement import (
     DomainType,
@@ -18,7 +18,6 @@ from prefixselect.refinement import (
     check_refinement_progress,
     choose_sliced_prefix,
     classify_domain_types,
-    extract_precision,
     live_locations,
     refine_selecting,
     score_interpolant_sequence,
@@ -39,17 +38,6 @@ def first_spurious_path(source, heuristic=Heuristic.DOMAIN_TYPE):
     collected = []
     cegar(cfa, heuristic, on_refinement=lambda p, r: collected.append(p))
     return cfa, collected[0]
-
-
-class TestExtractPrecision:
-    def test_single(self):
-        assert extract_precision(Assignment({"b": 1})) == {"b"}
-
-    def test_top(self):
-        assert extract_precision(TOP) == frozenset()
-
-    def test_pair(self):
-        assert extract_precision(Assignment({"x": 1, "y": 2})) == {"x", "y"}
 
 
 class TestRefineClassic:
@@ -175,10 +163,10 @@ def live_by_search(cfa, x, start):
             if isinstance(op, AssignNondet):
                 reads, kills = False, op.var == x
             elif isinstance(op, Assign):
-                reads = x in expr_variables(op.expr)
+                reads = x in tree_variables(op.expr)
                 kills = op.var == x and not reads
             else:
-                reads, kills = x in pred_variables(op.pred), False
+                reads, kills = x in tree_variables(op.pred), False
             if reads:
                 return True
             if not kills and dst not in seen:
@@ -291,7 +279,7 @@ class TestRefineSelecting:
         seq, calls = interpolant_sequence(TWO_REASONS)
         tracked = {}
         for _, loc, gamma in seq.entries:
-            names = extract_precision(gamma)
+            names = frozenset() if gamma is BOTTOM else frozenset(gamma)
             if names:
                 tracked[loc] = tracked.get(loc, frozenset()) | names
         assert selecting.precision == Precision(tracked)

@@ -15,17 +15,16 @@ from prefixselect.lang import (
     NOOP,
     Or,
     VarRef,
-    pred_variables,
+    tree_variables,
 )
 from prefixselect.values import (
     BOTTOM,
+    MAX_VALUE_BITS,
     TOP,
     Assignment,
-    ThreeValued,
-    eval_expr,
-    eval_pred,
+    LimitReached,
+    evaluate,
     implies,
-    render_assignment,
     restrict,
     sp,
 )
@@ -108,12 +107,12 @@ def reference_sp(op, v):
     if v is BOTTOM:
         return BOTTOM
     if isinstance(op, Assign):
-        value = eval_expr(op.expr, v)
+        value = evaluate(op.expr, v)
         base = v.without((op.var,))
         return base if value is None else conjoin(base, Assignment({op.var: value}))
     if isinstance(op, AssignNondet):
         return v.without((op.var,))
-    if eval_pred(op.pred, v) is ThreeValued.FALSE:
+    if evaluate(op.pred, v) is False:
         return BOTTOM
     forced = TOP
     for c in _conjuncts(op.pred):
@@ -121,12 +120,12 @@ def reference_sp(op, v):
             continue
         for var_side, other_side in ((c.left, c.right), (c.right, c.left)):
             if isinstance(var_side, VarRef) and var_side.name not in v:
-                value = eval_expr(other_side, v)
+                value = evaluate(other_side, v)
                 if value is not None:
                     forced = conjoin(forced, Assignment({var_side.name: value}))
                     break
     post = conjoin(v, forced)
-    if post is not BOTTOM and eval_pred(op.pred, post) is ThreeValued.FALSE:
+    if post is not BOTTOM and evaluate(op.pred, post) is False:
         return BOTTOM
     return post
 
@@ -196,33 +195,41 @@ class TestImplies:
 class TestEval:
     def test_expr_with_binding(self):
         exp = BinaryOp("+", VarRef("x"), IntLit(3))
-        assert eval_expr(exp, Assignment({"x": 2})) == 5
+        assert evaluate(exp, Assignment({"x": 2})) == 5
 
     def test_expr_unbound_is_undefined(self):
         exp = BinaryOp("+", VarRef("x"), IntLit(3))
-        assert eval_expr(exp, TOP) is None
+        assert evaluate(exp, TOP) is None
 
     def test_division_by_zero_undefined(self):
-        assert eval_expr(BinaryOp("/", IntLit(7), IntLit(0)), TOP) is None
+        assert evaluate(BinaryOp("/", IntLit(7), IntLit(0)), TOP) is None
 
     @pytest.mark.parametrize(
         "op,a,b,expected",
         [("/", 7, 2, 3), ("/", -7, 2, -3), ("%", -7, 2, -1), ("%", 7, -2, 1)],
     )
     def test_truncating_division(self, op, a, b, expected):
-        assert eval_expr(BinaryOp(op, IntLit(a), IntLit(b)), TOP) == expected
+        assert evaluate(BinaryOp(op, IntLit(a), IntLit(b)), TOP) == expected
+
+    def test_product_bound(self):
+        square = BinaryOp("*", VarRef("x"), VarRef("x"))
+        below = (1 << MAX_VALUE_BITS // 2) - 1
+        assert evaluate(square, {"x": -below}).bit_length() == MAX_VALUE_BITS
+        with pytest.raises(LimitReached) as exc:
+            evaluate(square, {"x": below + 1})
+        assert exc.value.reason == "value-limit"
 
     def test_pred_false(self):
         p = Comparison("<", VarRef("x"), IntLit(3))
-        assert eval_pred(p, Assignment({"x": 5})) is ThreeValued.FALSE
+        assert evaluate(p, Assignment({"x": 5})) is False
 
     def test_kleene_disjunction(self):
         p = Or(Comparison("<", VarRef("x"), IntLit(3)), BoolLit(True))
-        assert eval_pred(p, TOP) is ThreeValued.TRUE
+        assert evaluate(p, TOP) is True
 
     def test_unknown_when_unbound(self):
         p = Comparison("<", VarRef("x"), IntLit(3))
-        assert eval_pred(p, TOP) is ThreeValued.UNKNOWN
+        assert evaluate(p, TOP) is None
 
 
 class TestSp:
@@ -289,20 +296,20 @@ class TestSp:
     def test_assume_invents_no_bindings(self, p, v):
         post = sp(Assume(p), v)
         if post is not BOTTOM:
-            assert set(post) <= set(v) | pred_variables(p)
+            assert set(post) <= set(v) | tree_variables(p)
 
     @given(forcing_preds, nonbottom)
     def test_post_does_not_refute_its_assume(self, p, v):
         post = sp(Assume(p), v)
-        assert post is BOTTOM or eval_pred(p, post) is not ThreeValued.FALSE
+        assert post is BOTTOM or evaluate(p, post) is not False
 
     @given(preds, nonbottom)
     def test_false_predicate_iff_bottom_when_defined(self, p, v):
         post = sp(Assume(p), v)
-        if eval_pred(p, v) is ThreeValued.FALSE:
+        if evaluate(p, v) is False:
             assert post is BOTTOM
-        if pred_variables(p) <= set(v) and post is BOTTOM:
-            assert eval_pred(p, v) is ThreeValued.FALSE
+        if tree_variables(p) <= set(v) and post is BOTTOM:
+            assert evaluate(p, v) is False
 
 
 class TestRestrict:
@@ -322,14 +329,3 @@ class TestRestrict:
         if set(v) <= tracked:
             assert out is v
 
-
-class TestRendering:
-    def test_bottom(self):
-        assert render_assignment(BOTTOM, ["x"]) == "⊥"
-
-    def test_declaration_order(self):
-        v = Assignment({"y": 2, "x": 1})
-        assert render_assignment(v, ["x", "y"]) == "{x=1, y=2}"
-
-    def test_top(self):
-        assert render_assignment(TOP, ["x", "y"]) == "{}"
