@@ -6,10 +6,10 @@ and an integer literal too long to convert), 4 internal error (the checker
 crashed; there is no verdict).  ``bench`` reports a task with an input error
 as ``UNKNOWN(error)`` and a crashed run as ``UNKNOWN(internal-error)``.  A
 usage error (unknown option or choice, a ``--timeout`` that is not a number
-of seconds in (0, 1e6], a ``--jobs``, ``--max-states``, ``gen fig2 --n`` or
-``gen random --count`` below 1, a negative ``--max-refinements``, missing
-argument) exits 3 for every subcommand, never 2; so does an unknown or
-repeated name in ``bench --heuristics``.  ``verify --format json`` prints the
+of seconds in (0, 1e6], a ``--jobs``, ``--max-states``, ``gen fig2 --n``,
+``gen wide --k`` or ``gen random --count`` below 1, a negative
+``--max-refinements``, missing argument) exits 3 for every subcommand, never
+2; so does an unknown or repeated name in ``bench --heuristics``.  ``verify --format json`` prints the
 ``RunStats`` fields plus ``verdict``, ``heuristic`` and ``witness``.
 
 ``--timeout`` bounds the wall time of each CEGAR run, not counting parsing.
@@ -41,7 +41,11 @@ from typing import Callable, Optional
 
 from .engine import Limits, RunStats, Verdict, cegar
 from .frontend import ParseError, cfa_to_dot, load_cfa
-from .generators import generate_fig2_family, generate_random_programs
+from .generators import (
+    generate_fig2_family,
+    generate_random_programs,
+    generate_wide_flags,
+)
 from .paths import render_path
 from .refinement import Heuristic
 
@@ -244,19 +248,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # --- gen ----------------------------------------------------------------------
 
 
-def cmd_gen_fig2(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     try:
-        path = generate_fig2_family(args.n, args.out)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    print(path)
-    return 0
-
-
-def cmd_gen_random(args: argparse.Namespace) -> int:
-    try:
-        paths = generate_random_programs(args.seed, args.count, args.out)
+        if args.generator == "fig2":
+            paths = [generate_fig2_family(args.n, args.out)]
+        elif args.generator == "wide":
+            paths = [generate_wide_flags(args.k, args.out)]
+        else:
+            paths = generate_random_programs(args.seed, args.count, args.out)
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
@@ -350,18 +349,21 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     gen = sub.add_parser("gen", help="generate benchmark programs")
+    gen.set_defaults(func=cmd_gen)
     gen_sub = gen.add_subparsers(dest="generator", required=True)
 
     fig2 = gen_sub.add_parser("fig2", help="flag/loop family program")
     fig2.add_argument("--n", type=_int_at_least(1), required=True)
     fig2.add_argument("--out", required=True)
-    fig2.set_defaults(func=cmd_gen_fig2)
+
+    wide = gen_sub.add_parser("wide", help="wide-flags family program")
+    wide.add_argument("--k", type=_int_at_least(1), required=True)
+    wide.add_argument("--out", required=True)
 
     rnd = gen_sub.add_parser("random", help="random program corpus")
     rnd.add_argument("--seed", type=int, required=True)
     rnd.add_argument("--count", type=_int_at_least(1), required=True)
     rnd.add_argument("--out", required=True)
-    rnd.set_defaults(func=cmd_gen_random)
 
     return parser
 

@@ -1,12 +1,20 @@
 """Abstract reachability and the CEGAR driver with lazy restart.
 
-Exploration is a FIFO worklist over (location, assignment) states with
+Exploration is a worklist over (location, assignment) states with
 precision-restricted strongest-post transfer and coverage by implication
 against same-location states.  On a spurious counterexample the precision is
 refined and exploration resumes from the pivot: the states whose chain from
 the root avoids every location whose tracked set grew are kept, and only the
 work the refinement invalidated is redone (lazy abstraction, Henzinger,
 Jhala, Majumdar and Sutre, POPL 2002).
+
+The worklist is breadth-first from the root, so the first counterexample is
+a shortest one.  A resumed exploration expands the state at the deepest
+program point first (highest reverse-postorder rank, ties in creation
+order), so that it heads for the next counterexample instead of first
+widening the frontier that the refinement left.  The configurable program
+analysis algorithm leaves this order open (Beyer, Henzinger and Théoduloz,
+CAV 2007); the verdict does not depend on it.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Callable, Collection, Mapping, Optional
 
@@ -28,6 +37,7 @@ from .refinement import (
     classify_domain_types,
     live_locations,
     refine_selecting,
+    reverse_postorder,
     widen_to_live_ranges,
 )
 from .values import BOTTOM, TOP, Assignment, restrict, sp
@@ -35,7 +45,7 @@ from .values import BOTTOM, TOP, Assignment, restrict, sp
 log = logging.getLogger("prefixselect.engine")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Limits:
     max_refinements: int = 200
     max_states: int = 1_000_000
@@ -91,7 +101,7 @@ class State:
 
 
 class ReachedSet:
-    """States indexed by location, plus the FIFO frontier.
+    """States indexed by location, plus the waitlist of states to expand.
 
     Coverage is implication against an existing state at the same location,
     which for assignments is the subset relation on binding sets.  The stored
@@ -102,13 +112,21 @@ class ReachedSet:
     subset test and at most one hash lookup per domain at the location,
     O(#domains x |def|).  ``states`` holds every stored state in creation
     order, so a parent always precedes its children.
+
+    The waitlist is first-in first-out until ``prune`` keeps a state.  From
+    then on it is a heap of (-rank, creation index, state), where ``rank``
+    maps each location to its reverse-postorder rank
+    (``refinement.reverse_postorder``), so ``pop`` returns the state at the
+    deepest location, the earliest created among equals.
     """
 
-    def __init__(self):
+    def __init__(self, rank: Optional[Mapping[int, int]] = None):
+        self.rank = rank
         # loc -> domain -> (projection onto the domain, projected values stored)
         self.by_loc: dict[int, dict[frozenset[str], tuple[Callable, set]]] = {}
         self.states: list[State] = []
-        self.waitlist: deque[State] = deque()
+        self.waitlist: deque[State] | list[tuple[int, int, State]] = deque()
+        self.resumed = False
         self.error_state: Optional[State] = None
 
     @property
@@ -134,8 +152,23 @@ class ReachedSet:
         if entry is None:
             entry = domains[domain] = (_projection(domain), set())
         entry[1].add(entry[0](bindings))
+        if self.resumed:
+            heappush(self.waitlist, (-self.rank[state.loc], len(self.states), state))
+        else:
+            self.waitlist.append(state)
         self.states.append(state)
-        self.waitlist.append(state)
+
+    def pop(self) -> State:
+        """Take the next state to expand off the waitlist."""
+        if self.resumed:
+            return heappop(self.waitlist)[2]
+        return self.waitlist.popleft()
+
+    def waiting(self) -> list[State]:
+        """The states on the waitlist, in no particular order."""
+        if self.resumed:
+            return [entry[2] for entry in self.waitlist]
+        return list(self.waitlist)
 
     def prune(self, changed: Collection[int]) -> None:
         """Remove the error state and every state whose chain from the root
@@ -143,12 +176,14 @@ class ReachedSet:
 
         The kept states are exactly what a fresh exploration under the grown
         precision computes along the same chains, because their values depend
-        only on the tracked sets of unchanged locations.  The waitlist becomes,
-        in creation order, the kept states whose expansion is not complete
-        under that precision: parents of removed states, states that dropped
-        a successor as covered, and states never expanded.
+        only on the tracked sets of unchanged locations.  The waitlist becomes
+        the kept states whose expansion is not complete under that precision:
+        parents of removed states, states that dropped a successor as covered,
+        and states never expanded.  It pops the deepest of them first, by
+        ``rank``.  If the root is removed nothing is kept, and the waitlist is
+        first-in first-out again for the fresh exploration.
         """
-        pending = set(self.waitlist)
+        pending = set(self.waiting())
         removed: set[State] = set()
         reopened: set[State] = set()
         kept = []
@@ -167,9 +202,17 @@ class ReachedSet:
                 kept.append(state)
         self.states = kept
         self.error_state = None
-        self.waitlist = deque(
-            s for s in kept if s.dropped or s in pending or s in reopened
-        )
+        self.resumed = bool(kept)
+        if self.resumed:
+            rank = self.rank
+            self.waitlist = [
+                (-rank[s.loc], index, s)
+                for index, s in enumerate(kept)
+                if s.dropped or s in pending or s in reopened
+            ]
+            heapify(self.waitlist)
+        else:
+            self.waitlist = deque()
 
 
 def _projection(domain: frozenset[str]) -> Callable[[Mapping[str, int]], object]:
@@ -192,14 +235,14 @@ def reach(
     reached or the frontier empties.
 
     ``reached``, if given, is a set that ``ReachedSet.prune`` left valid under
-    ``precision``; exploration continues from its waitlist, and from a fresh
-    root only if the root was pruned.  Raises LimitReached("state-limit")
-    when the set would hold more than max_states states, kept and new
-    together, and LimitReached("timeout") if ``deadline`` has passed before
-    a state is expanded.
+    ``precision``; exploration continues from its waitlist, deepest state
+    first, and breadth-first from a fresh root only if the root was pruned.
+    Raises LimitReached("state-limit") when the set would hold more than
+    max_states states, kept and new together, and LimitReached("timeout") if
+    ``deadline`` has passed before a state is expanded.
     """
     if reached is None:
-        reached = ReachedSet()
+        reached = ReachedSet(reverse_postorder(cfa))
     if not reached.size:
         root = State(cfa.initial, TOP)
         reached.add(root)
@@ -210,7 +253,7 @@ def reach(
             return reached, True
     while reached.waitlist:
         check_deadline(deadline)
-        state = reached.waitlist.popleft()
+        state = reached.pop()
         state.dropped = False
         for op, dst in cfa.out_edges(state.loc):
             value = restrict(sp(op, state.value), precision.at(dst))
@@ -268,8 +311,10 @@ def cegar(
     that path, and unioned pointwise into the running precision.
     Where a full restart would explore again from the root, the reached set
     is pruned to the states that avoid every location whose tracked set grew,
-    and ``reach`` resumes from it; the fixpoint is the same, only the
-    exploration order differs.
+    and ``reach`` resumes from it, deepest state first, where the first
+    exploration is breadth-first; the fixpoint is the same, only the
+    exploration order differs.  Location ranks for that order
+    (``reverse_postorder``) are computed once per run.
 
     ``timeout`` bounds the run's wall time in seconds: ``reach`` checks it
     before each state it expands, interpolation before each cut, and each
@@ -285,7 +330,7 @@ def cegar(
     live = live_locations(cfa)
     precision = Precision()
     verdict: Optional[Verdict] = None
-    reached: Optional[ReachedSet] = None
+    reached = ReachedSet(reverse_postorder(cfa))
     try:
         while True:
             reached, hit = reach(

@@ -1,9 +1,13 @@
-"""Program generators: the flag/loop family and a random corpus.
+"""Program generators: the flag/loop family, the wide-flags family and a
+random corpus.
 
-The family programs pair a boolean guard with a counter loop so that the
+The flag/loop programs pair a boolean guard with a counter loop so that the
 first abstract error path is infeasible for two independent reasons; they are
-safe for every loop bound.  The random generator emits small well-formed
-programs (bounded loops only) deterministically from a seed.
+safe for every loop bound.  The wide-flags programs set k flags in k
+nondeterministic diamonds and guard the error on each of them; they are safe
+for every k, and every flag ends up tracked.  The random generator emits
+small well-formed programs (bounded loops only) deterministically from a
+seed.
 """
 
 from __future__ import annotations
@@ -30,12 +34,41 @@ def fig2_program(n: int) -> str:
     )
 
 
-def generate_fig2_family(n: int, out_dir: str | FsPath) -> FsPath:
+def wide_flags_program(k: int) -> str:
+    """k nondeterministic diamonds setting f_j to 0 or 1, then one guard
+    ``f_j == 2`` per flag before an error.  Safe for every k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    flags = ["f%d" % j for j in range(1, k + 1)]
+    lines = ["// wide-flags family, k = %d" % k, "var c, %s;" % ", ".join(flags)]
+    for f in flags:
+        lines += [
+            "c := nondet();",
+            "if (c == 0) {",
+            "  %s := 0;" % f,
+            "} else {",
+            "  %s := 1;" % f,
+            "}",
+        ]
+    for f in flags:
+        lines += ["if (%s == 2) {" % f, "  error;", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def _write_program(out_dir: str | FsPath, name: str, text: str) -> FsPath:
     out_dir = FsPath(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / ("fig2_n%d.imp" % n)
-    path.write_text(fig2_program(n), encoding="utf-8")
+    path = out_dir / name
+    path.write_text(text, encoding="utf-8")
     return path
+
+
+def generate_fig2_family(n: int, out_dir: str | FsPath) -> FsPath:
+    return _write_program(out_dir, "fig2_n%d.imp" % n, fig2_program(n))
+
+
+def generate_wide_flags(k: int, out_dir: str | FsPath) -> FsPath:
+    return _write_program(out_dir, "wide_k%d.imp" % k, wide_flags_program(k))
 
 
 class _ProgramWriter:
@@ -152,11 +185,7 @@ def generate_random_programs(
     seed: int, count: int, out_dir: str | FsPath
 ) -> list[FsPath]:
     """Write ``count`` programs derived deterministically from ``seed``."""
-    out_dir = FsPath(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i in range(count):
-        path = out_dir / ("random_s%d_%03d.imp" % (seed, i))
-        path.write_text(random_program(seed, i), encoding="utf-8")
-        paths.append(path)
-    return paths
+    return [
+        _write_program(out_dir, "random_s%d_%03d.imp" % (seed, i), random_program(seed, i))
+        for i in range(count)
+    ]

@@ -284,6 +284,35 @@ def live_locations(cfa: ControlFlowAutomaton) -> dict[str, frozenset[int]]:
     return live
 
 
+def reverse_postorder(cfa: ControlFlowAutomaton) -> dict[int, int]:
+    """Each location's rank in the reverse postorder of a depth-first search
+    from the initial location that follows out-edges in edge order.  Across
+    every edge other than a back edge the rank grows, so a higher rank is a
+    deeper program point.  Locations the search does not reach (a CFA from
+    ``build_cfa`` has none) are searched afterwards in location order, so
+    every location has a rank.  Iterative, so that a long chain of locations
+    cannot exhaust the recursion limit."""
+    postorder: list[int] = []
+    seen: set[int] = set()
+    for root in (cfa.initial, *cfa.locations):
+        if root in seen:
+            continue
+        seen.add(root)
+        work = [(root, iter(cfa.out_edges(root)))]  # DFS path: node, edges left
+        while work:
+            loc, edges = work[-1]
+            for _, dst in edges:
+                if dst not in seen:
+                    seen.add(dst)
+                    work.append((dst, iter(cfa.out_edges(dst))))
+                    break
+            else:
+                work.pop()
+                postorder.append(loc)
+    top = len(postorder) - 1
+    return {loc: top - i for i, loc in enumerate(postorder)}
+
+
 def widen_to_live_ranges(
     precision: Precision,
     cfa: ControlFlowAutomaton,

@@ -8,21 +8,25 @@ are."""
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from prefixselect import cli
 from prefixselect.engine import Limits
-from prefixselect.generators import fig2_program
+from prefixselect.generators import fig2_program, wide_flags_program
 from prefixselect.refinement import Heuristic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def load(name: str):
-    """A ``perfbench`` module, loaded by path as it is, without its package."""
+    """A ``perfbench`` module, loaded by path as it is, without its package.
+    It is entered in ``sys.modules`` under a name of its own, where its
+    dataclasses look their module up."""
     path = PERFBENCH / (name + ".py")
     spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -76,3 +80,11 @@ def test_traced_bench_counts_every_binding(tmp_path):
     # the tracer reads the chosen prefix's interpolation calls by index
     layers = tracing.layer_metrics(tracer, rows, 1.0)
     assert 0 < layers["refinement.chosen_interp_share"] <= 1
+
+
+def test_wide_flags_generator_matches_the_benchmark():
+    # the benchmark keeps its own copy of the generator, and its inputs_hash
+    # covers the program text: the two copies must not drift apart
+    workloads = load("workloads")
+    for k in range(1, 13):
+        assert wide_flags_program(k) == workloads.wide_flags_program(k)

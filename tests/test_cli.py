@@ -17,7 +17,11 @@ from prefixselect.cli import (
 )
 from prefixselect.engine import Limits, RefinementProgressError
 from prefixselect.frontend import MAX_DEPTH
-from prefixselect.generators import fig2_program, generate_fig2_family
+from prefixselect.generators import (
+    fig2_program,
+    generate_fig2_family,
+    wide_flags_program,
+)
 from prefixselect.refinement import Heuristic
 
 SAFE = "var x; x := 0; if (x > 0) { error; }"
@@ -291,6 +295,8 @@ class TestUsageErrors:
             # the chosen prefixes are always reported; the switch is gone
             ["verify", "{file}", "--stats"],
             ["gen", "fig2", "--n", "0", "--out", "{dir}"],
+            ["gen", "wide", "--k", "0", "--out", "{dir}"],
+            ["gen", "wide", "--k", "-1", "--out", "{dir}"],
             ["gen", "random", "--seed", "1", "--count", "0", "--out", "{dir}"],
         ],
     )
@@ -470,6 +476,20 @@ class TestGen:
         assert main(["gen", "fig2", "--n", "7", "--out", str(b)]) == 0
         capsys.readouterr()
         assert (a / "fig2_n7.imp").read_bytes() == (b / "fig2_n7.imp").read_bytes()
+
+    def test_wide_writes_the_family_program(self, tmp_path, capsys):
+        assert main(["gen", "wide", "--k", "3", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "wide_k3.imp"
+        assert capsys.readouterr().out == "%s\n" % path
+        assert path.read_text(encoding="utf-8") == wide_flags_program(3)
+
+    def test_wide_unwritable_out_exit_three(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["gen", "wide", "--k", "2", "--out", str(blocker)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error:") and not captured.out
 
     def test_random_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import operator
@@ -21,7 +22,7 @@ from prefixselect.engine import (
     reach,
 )
 from prefixselect.frontend import load_cfa
-from prefixselect.generators import fig2_program, random_program
+from prefixselect.generators import fig2_program, random_program, wide_flags_program
 from prefixselect.lang import (
     NOOP,
     And,
@@ -182,16 +183,6 @@ def indexed(reached, state):
     return entry is not None and entry[0](bindings) in entry[1]
 
 
-def wide_flags_program(k):
-    """k nondet diamonds set f_j to 0 or 1; a guard f_j == 2 per flag
-    precedes the error.  Safe, and every flag ends up tracked."""
-    lines = ["var c, %s;" % ", ".join("f%d" % j for j in range(k))]
-    for j in range(k):
-        lines.append("c := nondet(); if (c == 0) { f%d := 0; } else { f%d := 1; }" % (j, j))
-    lines += ["if (f%d == 2) { error; }" % j for j in range(k)]
-    return "\n".join(lines)
-
-
 def traced_cegar(monkeypatch, cfa):
     """Run domain-type cegar; return its verdict, its stats and the
     (precision, reached set) of every reach call, in order."""
@@ -223,6 +214,20 @@ def safe_refined_runs(monkeypatch, count):
     return out
 
 
+def drain(reached):
+    """Pop the whole waitlist, in order."""
+    popped = []
+    while reached.waitlist:
+        popped.append(reached.pop())
+    return popped
+
+
+def deepest_first(reached, states):
+    """``states`` (in creation order) in the order a resumed waitlist pops
+    them: descending location rank, ties in creation order."""
+    return sorted(states, key=lambda s: -reached.rank[s.loc])
+
+
 class TestLazyRestart:
     @pytest.mark.parametrize("index", range(12))
     def test_prune(self, index):
@@ -230,7 +235,7 @@ class TestLazyRestart:
         reached, hit = reach(cfa, Precision(), 100_000)
         assert hit
         states = list(reached.states)
-        pending = set(reached.waitlist)
+        pending = set(reached.waiting())
         error = reached.error_state
         rng = random.Random(index)
         changed = set(rng.sample(cfa.locations, rng.randint(0, len(cfa.locations) // 3)))
@@ -243,15 +248,18 @@ class TestLazyRestart:
 
         assert reached.states == kept
         assert reached.error_state is None
-        assert list(reached.waitlist) == requeued
+        assert {id(s) for s in reached.waiting()} == {id(s) for s in requeued}
+        assert len(reached.waitlist) == len(requeued)
         assert error.parent in requeued or error.parent in removed
         assert all(indexed(reached, s) for s in kept)
         assert not any(indexed(reached, s) for s in removed)
         assert sum(len(stored) for d in reached.by_loc.values() for _, stored in d.values()) == len(kept)
+        assert drain(reached) == deepest_first(reached, requeued)
 
     def test_prune_requeues_unexpanded_and_covering(self):
         # the loop head drops its second visit as covered, and the states
-        # behind the error's parent in the FIFO are never expanded
+        # still queued when the breadth-first exploration from the root
+        # reaches the error are never expanded
         cfa = load_cfa(
             "var x, y; x := 0; y := nondet(); while (y < 3) { y := y + 1; } "
             "if (x > 0) { error; } x := 1; x := 2;"
@@ -260,12 +268,17 @@ class TestLazyRestart:
         assert hit
         error = reached.error_state
         dropped = [s for s in reached.states if s.dropped]
-        pending = [s for s in reached.waitlist if s is not error]
+        pending = [s for s in reached.waiting() if s is not error]
         assert dropped and pending
         reached.prune(set())
-        requeued = list(reached.waitlist)
-        assert error.parent in requeued
-        assert all(s in requeued for s in dropped + pending)
+        waiting = {id(s) for s in reached.waiting()}
+        assert id(error.parent) in waiting
+        assert {id(s) for s in dropped + pending} <= waiting
+        requeued = [s for s in reached.states if id(s) in waiting]
+        popped = drain(reached)
+        assert popped == deepest_first(reached, requeued)
+        ranks = [reached.rank[s.loc] for s in popped]
+        assert ranks == sorted(ranks, reverse=True) and ranks[0] > ranks[-1]
 
     def test_root_pruned_starts_fresh(self):
         cfa = load_cfa(BRANCH_PROGRAM)
@@ -361,6 +374,44 @@ class TestLiveRangeWidening:
         assert fewer
 
 
+class TestExplorationOrder:
+    """``reach`` is breadth-first from the root and deepest-first once it
+    resumes after a refinement.  The counters are deterministic; these pin
+    what that order gives."""
+
+    @pytest.mark.parametrize(
+        "k, states, refinements", [(6, 478, 6), (7, 896, 7), (8, 1703, 8), (10, 6404, 10)]
+    )
+    def test_wide_flags(self, k, states, refinements):
+        verdict, stats = cegar(load_cfa(wide_flags_program(k)), Heuristic.DOMAIN_TYPE)
+        assert verdict.kind == "TRUE"
+        assert (stats.states_created, stats.refinements) == (states, refinements)
+
+    @pytest.mark.parametrize("n, classic_states", [(10, 60), (100, 420), (300, 1220)])
+    def test_flag_loop_family(self, n, classic_states):
+        cfa = load_cfa(fig2_program(n))
+        verdict, stats = cegar(cfa, Heuristic.DOMAIN_TYPE)
+        assert verdict.kind == "TRUE"
+        assert (stats.states_created, stats.refinements) == (15, 1)
+        verdict, stats = cegar(cfa, Heuristic.CLASSIC)
+        assert verdict.kind == "TRUE"
+        assert (stats.states_created, stats.refinements) == (classic_states, 2)
+
+    def test_random_corpus_totals(self):
+        # (states, refinements) summed over seed 7's 120 programs
+        bounds = {
+            Heuristic.CLASSIC: (4529, 145),
+            Heuristic.PREFIX_SHORTEST: (4491, 140),
+            Heuristic.PREFIX_LONGEST: (4079, 122),
+            Heuristic.DOMAIN_TYPE: (4149, 127),
+        }
+        cfas = [load_cfa(random_program(7, index)) for index in range(120)]
+        for heuristic, (states, refinements) in bounds.items():
+            runs = [cegar(cfa, heuristic)[1] for cfa in cfas]
+            assert sum(stats.states_created for stats in runs) <= states
+            assert sum(stats.refinements for stats in runs) == refinements
+
+
 class TestCegar:
     def test_family_program_safe(self):
         cfa = load_cfa(fig2_program(10))
@@ -383,6 +434,12 @@ class TestCegar:
         cfa = load_cfa("var d; d := nondet(); if (d == 6 && d <= 3) { error; }")
         verdict, _ = cegar(cfa, heuristic)
         assert verdict.kind == "TRUE"
+
+    def test_limits_are_frozen(self):
+        # cegar's default Limits() is one object shared by every call
+        limits = Limits()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            limits.max_states = 1
 
     def test_no_error_location(self):
         cfa = load_cfa("var x; x := 1; x := x + 1;")

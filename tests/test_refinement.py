@@ -5,10 +5,10 @@ from hypothesis import given, strategies as st
 
 from conftest import assign, assume_cmp, mkpath
 from prefixselect.engine import cegar, extract_error_path, reach
-from prefixselect.frontend import load_cfa
+from prefixselect.frontend import ControlFlowAutomaton, load_cfa
 from prefixselect.generators import fig2_program, random_program
 from prefixselect.interpolation import InterpolantSequence, interpolant_sequence
-from prefixselect.lang import Assign, AssignNondet, tree_variables
+from prefixselect.lang import NOOP, Assign, AssignNondet, tree_variables
 from prefixselect.paths import extract_sliced_prefixes
 from prefixselect.refinement import (
     DomainType,
@@ -20,6 +20,7 @@ from prefixselect.refinement import (
     classify_domain_types,
     live_locations,
     refine_selecting,
+    reverse_postorder,
     score_interpolant_sequence,
     widen_to_live_ranges,
 )
@@ -152,6 +153,37 @@ def test_components_are_mutual_reachability_classes(succ):
     expected = {frozenset(v for v in reach_of[u] if u in reach_of[v]) for u in succ}
     found = [frozenset(c) for c in _strongly_connected_components(succ)]
     assert len(found) == len(set(found)) and set(found) == expected
+
+
+class TestReversePostorder:
+    @given(st.integers(0, 30), st.integers(0, 300))
+    def test_rank_grows_except_on_back_edges(self, seed, index):
+        cfa = load_cfa(random_program(seed, index))
+        rank = reverse_postorder(cfa)
+        assert sorted(rank.values()) == list(range(len(cfa.locations)))
+        assert rank[cfa.initial] == 0
+        succ = {l: [dst for _, dst in cfa.out_edges(l)] for l in cfa.locations}
+        for src, _, dst in cfa.edges:
+            # an edge that does not raise the rank closes a cycle
+            assert rank[src] < rank[dst] or src in reachable(succ, dst)
+
+    def test_unreachable_locations_are_ranked(self):
+        cfa = ControlFlowAutomaton(
+            locations=(0, 1, 2, 3),
+            initial=1,
+            error=None,
+            edges=((1, NOOP, 2), (0, NOOP, 3)),
+            variables=(),
+        )
+        rank = reverse_postorder(cfa)
+        assert sorted(rank.values()) == [0, 1, 2, 3]
+        assert rank[1] < rank[2] and rank[0] < rank[3]
+
+    def test_long_chain(self):
+        body = " ".join("x := %d;" % k for k in range(3000))
+        cfa = load_cfa("var x; %s" % body)
+        rank = reverse_postorder(cfa)
+        assert all(rank[src] + 1 == rank[dst] for src, _, dst in cfa.edges)
 
 
 def live_by_search(cfa, x, start):
