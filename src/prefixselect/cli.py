@@ -1,9 +1,11 @@
 """Command-line interface: verify, bench, gen.
 
 Exit codes for ``verify``: 0 TRUE, 1 FALSE, 2 UNKNOWN, 3 input error (also
-a file that is not UTF-8, nesting deeper than ``frontend.MAX_DEPTH``
-and an integer literal too long to convert), 4 internal error (the checker
-crashed; there is no verdict).  ``bench`` reports a task with an input error
+a file that is not UTF-8, an integer literal too long to convert, and a
+statement whose blocks plus formula height pass ``frontend.MAX_DEPTH``;
+that bound leaves every accepted program room on the stack, so input never
+exits 4 for its depth), 4 internal error (the checker crashed; there is no
+verdict).  ``bench`` reports a task with an input error
 as ``UNKNOWN(error)`` and a crashed run as ``UNKNOWN(internal-error)``.  A
 usage error (unknown option or choice, a ``--timeout`` that is not a number
 of seconds in (0, 1e6], a ``--jobs``, ``--max-states``, ``gen fig2 --n``,

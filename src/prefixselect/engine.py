@@ -35,9 +35,9 @@ from .refinement import (
     RefinementResult,
     check_refinement_progress,
     classify_domain_types,
+    depth_first_search,
     live_locations,
     refine_selecting,
-    reverse_postorder,
     widen_to_live_ranges,
 )
 from .values import BOTTOM, TOP, Assignment, restrict, sp
@@ -116,7 +116,7 @@ class ReachedSet:
     The waitlist is first-in first-out until ``prune`` keeps a state.  From
     then on it is a heap of (-rank, creation index, state), where ``rank``
     maps each location to its reverse-postorder rank
-    (``refinement.reverse_postorder``), so ``pop`` returns the state at the
+    (``refinement.depth_first_search``), so ``pop`` returns the state at the
     deepest location, the earliest created among equals.
     """
 
@@ -242,7 +242,7 @@ def reach(
     ``deadline`` has passed before a state is expanded.
     """
     if reached is None:
-        reached = ReachedSet(reverse_postorder(cfa))
+        reached = ReachedSet(depth_first_search(cfa)[0])
     if not reached.size:
         root = State(cfa.initial, TOP)
         reached.add(root)
@@ -314,7 +314,7 @@ def cegar(
     and ``reach`` resumes from it, deepest state first, where the first
     exploration is breadth-first; the fixpoint is the same, only the
     exploration order differs.  Location ranks for that order
-    (``reverse_postorder``) are computed once per run.
+    (``depth_first_search``) are computed once per run.
 
     ``timeout`` bounds the run's wall time in seconds: ``reach`` checks it
     before each state it expands, interpolation before each cut, and each
@@ -330,7 +330,7 @@ def cegar(
     live = live_locations(cfa)
     precision = Precision()
     verdict: Optional[Verdict] = None
-    reached = ReachedSet(reverse_postorder(cfa))
+    reached = ReachedSet(depth_first_search(cfa)[0])
     try:
         while True:
             reached, hit = reach(

@@ -24,10 +24,18 @@ operand is an expression or a predicate when it applies an operator to it.
 Comments run from ``//`` to end of line.  All variables must be declared
 before the statement list; integers are arbitrary precision, but a literal
 with more digits than ``int()`` converts (4300 by default) is a ParseError
-("integer literal too long").  An expression or predicate tree deeper than
-``MAX_DEPTH``, and a block nested inside more than ``MAX_DEPTH`` others, is
-a ParseError ("nested too deeply"): evaluating, hashing, rendering and
-building the automaton recurse once per level.
+("integer literal too long").
+
+A statement's depth is the number of blocks around it plus the height of its
+formula (an ``if`` or ``while`` has its condition), in which each operator,
+each ``!`` or unary ``-`` and each pair of brackets is a level; ``error;``
+and ``x := nondet();`` have height 0.  The first statement deeper than
+``MAX_DEPTH`` is a ParseError, "nested too deeply (depth above 256)", at the
+first token of its formula.  The operands of brackets, ``!`` and ``-`` and
+the right operands of infix operators count as the parser goes down to
+them, so a run of 3000 ``(`` is rejected before it can exhaust the stack; a
+chain such as ``x + x + x``, which the parser builds in a loop, counts once
+its height is known.
 
 The tokenizer turns the source into ``(text, offset)`` pairs, ending with
 ``("", len(source))``; the parser tests token text alone.  A token that
@@ -40,7 +48,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar, get_args
+from typing import get_args
 
 from .lang import (
     And,
@@ -75,14 +83,12 @@ from .lang import (
 )
 
 
-#: Deepest expression or predicate tree a statement may hold, and deepest
-#: nesting of blocks.  Evaluating, hashing, rendering and building the
-#: automaton recurse once or a few times per level and exhaust Python's
-#: default recursion limit from about 1000 frames; the bound keeps clear of
-#: that, also for a checker called from a deep stack.
+#: Deepest a statement may nest: the blocks around it plus the height of its
+#: formula (see the module docstring).  Parsing, building the automaton,
+#: evaluating, hashing and rendering recurse up to three frames a level; at
+#: this bound each of them, and ``engine.cegar``, fits Python's default
+#: recursion limit of 1000 when called from a stack 200 frames deep.
 MAX_DEPTH = 256
-
-_Tree = TypeVar("_Tree", Expr, Pred)
 
 
 class ParseError(ValueError):
@@ -116,19 +122,6 @@ def _is_name(text: str) -> bool:
     return text.isidentifier() and text not in _KEYWORDS
 
 
-def _depth(tree: Expr | Pred) -> int:
-    """Height of an expression or predicate tree, found without recursion."""
-    height, stack = 0, [(tree, 1)]
-    while stack:
-        node, level = stack.pop()
-        height = max(height, level)
-        if isinstance(node, (Negate, Not)):
-            stack.append((node.operand, level + 1))
-        elif isinstance(node, (BinaryOp, Comparison, And, Or)):
-            stack += ((node.left, level + 1), (node.right, level + 1))
-    return height
-
-
 class _Parser:
     def __init__(self, source: str):
         self.source = source
@@ -141,7 +134,7 @@ class _Parser:
         self.tokens.append(("", len(source)))
         self.i = 0
         self.declared: list[str] = []
-        self.nesting = 0  # blocks open around the current token
+        self.start = 0  # offset of the current statement's formula
 
     # -- token helpers --
 
@@ -183,18 +176,6 @@ class _Parser:
             raise self._error_at("undeclared variable %r" % name, offset)
         return name
 
-    def bounded(self, parse: Callable[[int], _Tree], power: int) -> _Tree:
-        """``parse(power)``, rejected if its tree is deeper than MAX_DEPTH."""
-        start = self.i
-        tree = parse(power)
-        # every node consumes a token of its own, so a short tree is shallow
-        if self.i - start > MAX_DEPTH and _depth(tree) > MAX_DEPTH:
-            raise self._error_at(
-                "expression nested too deeply (depth above %d)" % MAX_DEPTH,
-                self.tokens[start][1],
-            )
-        return tree
-
     # -- grammar --
 
     def program(self) -> Program:
@@ -208,42 +189,37 @@ class _Parser:
                     break
             self.expect(";")
         body = []
-        try:
-            while self.text:
-                body.append(self.stmt())
-        except RecursionError:
-            raise self._error("program nested too deeply") from None
+        while self.text:
+            body.append(self.stmt(0))
         return Program(tuple(self.declared), tuple(body))
 
-    def block(self) -> tuple[Stmt, ...]:
-        if self.nesting == MAX_DEPTH:
-            raise self._error("block nested too deeply (depth above %d)" % MAX_DEPTH)
+    def block(self, blocks: int) -> tuple[Stmt, ...]:
+        """A block whose statements sit inside ``blocks`` blocks."""
         self.expect("{")
-        self.nesting += 1
         body = []
         while not self.accept("}"):
             if not self.text:
                 raise self._error("unterminated block")
-            body.append(self.stmt())
-        self.nesting -= 1
+            body.append(self.stmt(blocks))
         return tuple(body)
 
-    def condition(self) -> Pred:
+    def condition(self, blocks: int) -> Pred:
         self.expect("(")
-        cond = self.bounded(self.predicate, 0)
+        cond = self.statement_formula(0, blocks)
         self.expect(")")
         return cond
 
-    def stmt(self) -> Stmt:
+    def stmt(self, blocks: int) -> Stmt:
+        """A statement inside ``blocks`` blocks."""
         if self.accept("if"):
-            cond = self.condition()
-            then_body = self.block()
-            else_body = self.block() if self.accept("else") else None
+            cond = self.condition(blocks)
+            then_body = self.block(blocks + 1)
+            else_body = self.block(blocks + 1) if self.accept("else") else None
             return IfStmt(cond, then_body, else_body)
         if self.accept("while"):
-            return WhileStmt(self.condition(), self.block())
+            return WhileStmt(self.condition(blocks), self.block(blocks + 1))
         if self.accept("assume"):
-            cond = self.condition()
+            cond = self.condition(blocks)
             self.expect(";")
             return AssumeStmt(cond)
         if self.accept("error"):
@@ -258,66 +234,95 @@ class _Parser:
             self.expect(")")
             self.expect(";")
             return NondetStmt(name)
-        exp = self.bounded(self.formula, EXPR_POWER)
+        exp = self.statement_formula(EXPR_POWER, blocks)
         self.expect(";")
         return AssignStmt(name, exp)
 
     # -- formulas: expressions and predicates, by lang.BINDING_POWER --
+    #
+    # Each reader gets the level its tree starts at (``blocks`` + 1 for a
+    # statement's formula, one more inside each bracket, ``!``, ``-`` and
+    # right operand) and returns the tree with its height.
 
-    def formula(self, power: int) -> Expr | Pred:
+    def statement_formula(self, power: int, blocks: int) -> Expr | Pred:
+        """The predicate (from power 0) or expression (from EXPR_POWER) of a
+        statement inside ``blocks`` blocks, rejected at its first token if
+        ``blocks`` plus its height is above MAX_DEPTH."""
+        self.start = self.tokens[self.i][1]
+        read = self.predicate if power < EXPR_POWER else self.formula
+        tree, height = read(power, blocks + 1)
+        if blocks + height > MAX_DEPTH:
+            raise self._too_deep()
+        return tree
+
+    def _too_deep(self) -> ParseError:
+        return self._error_at("nested too deeply (depth above %d)" % MAX_DEPTH, self.start)
+
+    def formula(self, power: int, level: int) -> tuple[Expr | Pred, int]:
         """A prefix followed by the infix operators of ``power`` and up.
 
         From EXPR_POWER up only an expression is read.  An operator whose left
         operand is of the wrong kind, such as a second comparison, ends the
-        formula and is left for the caller to report.
+        formula and is left for the caller to report.  A chain of operators
+        grows to the left in this loop, so its height is counted here, from
+        the bottom up.
         """
-        left = self.prefix(power)
+        left, height = self.prefix(power, level)
         while (op := self.text) in BINDING_POWER and BINDING_POWER[op] >= power:
             own = BINDING_POWER[op]
             if (own < CMP_POWER) != isinstance(left, _PRED_NODES):
                 break
             self.i += 1
             if op in _JOINS:
-                left = _JOINS[op](left, self.predicate(own + 1))
+                right, right_height = self.predicate(own + 1, level + 1)
+                left = _JOINS[op](left, right)
             else:
+                right, right_height = self.formula(own + 1, level + 1)
                 node = Comparison if own == CMP_POWER else BinaryOp
-                left = node(op, left, self.formula(own + 1))
-        return left
+                left = node(op, left, right)
+            height = 1 + max(height, right_height)
+        return left, height
 
-    def predicate(self, power: int) -> Pred:
-        tree = self.formula(power)
+    def predicate(self, power: int, level: int) -> tuple[Pred, int]:
+        tree, height = self.formula(power, level)
         if not isinstance(tree, _PRED_NODES):
             raise self._found("comparison operator")
-        return tree
+        return tree, height
 
-    def prefix(self, power: int) -> Expr | Pred:
+    def prefix(self, power: int, level: int) -> tuple[Expr | Pred, int]:
         """A bracketed formula, a negation or an atom; from EXPR_POWER up,
-        only one that starts an expression."""
+        only one that starts an expression.  Rejects the statement once
+        ``level`` passes MAX_DEPTH, before it recurses any further."""
+        if level > MAX_DEPTH:
+            raise self._too_deep()
         text, offset = self.tokens[self.i]
         if power < EXPR_POWER:
             if self.accept("!"):
                 # a run of ! recurses through prefix alone, one frame per !
                 if self.text == "!":
-                    return Not(self.prefix(CMP_POWER))
-                return Not(self.predicate(CMP_POWER))
+                    operand, height = self.prefix(CMP_POWER, level + 1)
+                else:
+                    operand, height = self.predicate(CMP_POWER, level + 1)
+                return Not(operand), height + 1
             if text in ("true", "false"):
                 self.i += 1
-                return BoolLit(text == "true")
+                return BoolLit(text == "true"), 1
         if self.accept("("):
-            inner = self.formula(0 if power < EXPR_POWER else EXPR_POWER)
+            inner, height = self.formula(0 if power < EXPR_POWER else EXPR_POWER, level + 1)
             self.expect(")")
-            return inner
+            return inner, height + 1
         if self.accept("-"):
-            return Negate(self.prefix(PREFIX_POWER))
+            operand, height = self.prefix(PREFIX_POWER, level + 1)
+            return Negate(operand), height + 1
         if text[:1].isdigit():
             self.i += 1
             try:
-                return IntLit(int(text))
+                return IntLit(int(text)), 1
             except ValueError:  # more digits than int() converts
                 raise self._error_at("integer literal too long", offset) from None
         if _is_name(text):
             self.i += 1
-            return VarRef(self._check_declared((text, offset)))
+            return VarRef(self._check_declared((text, offset))), 1
         raise self._found("expression")
 
 
@@ -325,9 +330,10 @@ def parse(source: str) -> Program:
     """Parse source text into a Program AST.
 
     Raises ParseError (with line/column) on syntax errors, use of undeclared
-    variables, duplicate declarations, an expression or a block nesting
-    deeper than MAX_DEPTH, or a program nested too deeply for the recursive
-    parser.
+    variables, duplicate declarations, an integer literal too long, or a
+    statement deeper than MAX_DEPTH (see the module docstring).  Whether a
+    program parses does not depend on the caller's stack: at the bound,
+    ``parse`` and ``build_cfa`` fit from a caller 200 frames deep.
     """
     return _Parser(source).program()
 
@@ -451,13 +457,8 @@ def build_cfa(program: Program) -> ControlFlowAutomaton:
 
 
 def load_cfa(source: str) -> ControlFlowAutomaton:
-    """Parse and build; raises ParseError on any input ``parse`` rejects,
-    and on a program nested too deeply for the CFA builder's stack."""
-    parser = _Parser(source)
-    try:
-        return build_cfa(parser.program())
-    except RecursionError:
-        raise parser._error("program nested too deeply") from None
+    """Parse and build; raises ParseError on any input ``parse`` rejects."""
+    return build_cfa(parse(source))
 
 
 def cfa_to_dot(cfa: ControlFlowAutomaton) -> str:

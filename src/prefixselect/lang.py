@@ -263,7 +263,10 @@ def _render_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
 
 
 def render_program(program: Program) -> str:
-    """Pretty-print a program; parsing the result yields an equal AST."""
+    """Pretty-print a program; parsing the result yields an equal AST.
+
+    A comparison inside ``&&``, ``||`` or ``!`` is bracketed, which can take
+    a program at ``frontend.MAX_DEPTH`` one level past it."""
     lines: list[str] = []
     if program.variables:
         lines.append("var %s;" % ", ".join(program.variables))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .frontend import ControlFlowAutomaton
 from .lang import (
@@ -129,50 +129,55 @@ def _direct_comparisons(p: Pred):
             stack.append(node.operand)
 
 
-def _strongly_connected_components(succ: Mapping[int, Iterable[int]]) -> list[list[int]]:
-    """Strongly connected components of the graph whose nodes are ``succ``'s
-    keys.  Tarjan's algorithm with an explicit stack, so that a long chain of
-    locations cannot exhaust the recursion limit."""
+def depth_first_search(
+    cfa: ControlFlowAutomaton,
+) -> tuple[dict[int, int], dict[int, int]]:
+    """One depth-first search from the initial location, then from each
+    location not yet reached in location order, that follows out-edges in
+    edge order.  Returns each location's rank in the search's reverse
+    postorder, and its strongly connected component (Tarjan's algorithm),
+    named by one of its locations.
+
+    Across every edge other than a back edge the rank grows, so a higher
+    rank is a deeper program point.  Every location gets a rank, also one the
+    initial location does not reach (a CFA from ``build_cfa`` has none).
+    Iterative, so that a long chain of locations cannot exhaust the recursion
+    limit."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
-    stack: list[int] = []
-    on_stack: set[int] = set()
-    components: list[list[int]] = []
-    work: list[tuple[int, Iterable[int]]] = []  # DFS path: node, children left
-
-    def visit(node: int) -> None:
-        index[node] = low[node] = len(index)
-        stack.append(node)
-        on_stack.add(node)
-        work.append((node, iter(succ[node])))
-
-    for root in succ:
+    component: dict[int, int] = {}
+    pending: list[int] = []  # searched locations whose component is not yet known
+    postorder: list[int] = []
+    for root in (cfa.initial, *cfa.locations):
         if root in index:
             continue
-        visit(root)
+        index[root] = low[root] = len(index)
+        pending.append(root)
+        work = [(root, iter(cfa.out_edges(root)))]  # search path: location, edges left
         while work:
-            node, children = work[-1]
-            for child in children:
-                if child not in index:
-                    visit(child)
+            loc, edges = work[-1]
+            for _, dst in edges:
+                if dst not in index:
+                    index[dst] = low[dst] = len(index)
+                    pending.append(dst)
+                    work.append((dst, iter(cfa.out_edges(dst))))
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
+                if dst not in component:
+                    low[loc] = min(low[loc], index[dst])
             else:
                 work.pop()
+                postorder.append(loc)
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component = []
+                    low[parent] = min(low[parent], low[loc])
+                if low[loc] == index[loc]:
                     while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
+                        member = pending.pop()
+                        component[member] = loc
+                        if member == loc:
                             break
-                    components.append(component)
-    return components
+    top = len(postorder) - 1
+    return {loc: top - i for i, loc in enumerate(postorder)}, component
 
 
 def classify_domain_types(cfa: ControlFlowAutomaton) -> dict[str, DomainType]:
@@ -184,14 +189,7 @@ def classify_domain_types(cfa: ControlFlowAutomaton) -> dict[str, DomainType]:
     or copies of booleans, all predicate occurrences are ==/!= against 0/1 or
     booleans (greatest fixpoint).  Precedence: loop counter > boolean > other.
     """
-    succ: dict[int, set[int]] = {loc: set() for loc in cfa.locations}
-    for src, _, dst in cfa.edges:
-        succ[src].add(dst)
-
-    scc_of: dict[int, int] = {}
-    for idx, comp in enumerate(_strongly_connected_components(succ)):
-        for loc in comp:
-            scc_of[loc] = idx
+    _, scc_of = depth_first_search(cfa)
 
     # an edge whose ends share a component lies on a cycle of that component
     updates: dict[int, set[str]] = {}
@@ -282,35 +280,6 @@ def live_locations(cfa: ControlFlowAutomaton) -> dict[str, frozenset[int]]:
                     stack.append(src)
         live[x] = frozenset(seen)
     return live
-
-
-def reverse_postorder(cfa: ControlFlowAutomaton) -> dict[int, int]:
-    """Each location's rank in the reverse postorder of a depth-first search
-    from the initial location that follows out-edges in edge order.  Across
-    every edge other than a back edge the rank grows, so a higher rank is a
-    deeper program point.  Locations the search does not reach (a CFA from
-    ``build_cfa`` has none) are searched afterwards in location order, so
-    every location has a rank.  Iterative, so that a long chain of locations
-    cannot exhaust the recursion limit."""
-    postorder: list[int] = []
-    seen: set[int] = set()
-    for root in (cfa.initial, *cfa.locations):
-        if root in seen:
-            continue
-        seen.add(root)
-        work = [(root, iter(cfa.out_edges(root)))]  # DFS path: node, edges left
-        while work:
-            loc, edges = work[-1]
-            for _, dst in edges:
-                if dst not in seen:
-                    seen.add(dst)
-                    work.append((dst, iter(cfa.out_edges(dst))))
-                    break
-            else:
-                work.pop()
-                postorder.append(loc)
-    top = len(postorder) - 1
-    return {loc: top - i for i, loc in enumerate(postorder)}
 
 
 def widen_to_live_ranges(

@@ -31,6 +31,26 @@ needs_digit_limit = pytest.mark.skipif(
 CORPUS_SEED = 7
 
 
+def stack_depth() -> int:
+    """Frames on the stack of the caller, counting the caller's own."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def call_at_depth(depth: int, fn, *args):
+    """``fn(*args)``, called by a frame ``depth`` frames deep."""
+    here = stack_depth()
+    assert here < depth, "already %d frames deep" % here
+    return _descend(depth - here, fn, args)
+
+
+def _descend(frames: int, fn, args):
+    return fn(*args) if frames == 1 else _descend(frames - 1, fn, args)
+
+
 def assign(x: str, value: int) -> Assign:
     return Assign(x, IntLit(value))
 

@@ -40,6 +40,19 @@ def deep_conjunction(conjuncts: int) -> str:
     return "var x; x := nondet(); assume(%s); if (x == 1) { error; }" % pred
 
 
+def blocks_around(blocks: int, tree: str) -> str:
+    """``x := tree;`` inside ``blocks`` nested blocks."""
+    return "var x; %sx := %s;%s" % ("if (x == 0) { " * blocks, tree, " }" * blocks)
+
+
+#: Trees that fit the depth bound alone but not inside 120 blocks: a sum of
+#: height 255, and ``x - (x - (…))`` with 253 brackets.
+MIXED_TREES = {
+    "sum": " + ".join(["x"] * 255),
+    "brackets": "x - (" * 253 + "x" + ")" * 253,
+}
+
+
 @pytest.fixture
 def safe_file(tmp_path):
     p = tmp_path / "safe.imp"
@@ -215,7 +228,7 @@ class TestVerify:
     @pytest.mark.parametrize("extra", [[], ["--timeout", "20"]])
     def test_deep_nesting_exit_three(self, tmp_path, capsys, extra):
         programs = {
-            # parsing 3000 nested parentheses exhausts the recursion limit
+            # 3000 nested parentheses, rejected on the parser's way down
             "parentheses": "var x; x := %s1%s;" % ("(" * 3000, ")" * 3000),
             # one level past the depth bound
             "sum": deep_sum(MAX_DEPTH + 1),
@@ -229,6 +242,25 @@ class TestVerify:
             assert code == 3, name
             assert captured.err.startswith("error:") and "nested too deeply" in captured.err
             assert "RESULT" not in captured.out
+
+    @pytest.mark.parametrize("extra", [[], ["--timeout", "20"]])
+    def test_blocks_around_deep_tree_exit_three(self, tmp_path, capsys, extra):
+        column = len("var x; ") + len("if (x == 0) { ") * 120 + len("x := ") + 1
+        for name, tree in MIXED_TREES.items():
+            p = tmp_path / ("%s.imp" % name)
+            p.write_text(blocks_around(120, tree), encoding="utf-8")
+            code = main(["verify", str(p)] + extra)
+            captured = capsys.readouterr()
+            assert code == 3, name
+            assert captured.err == "error: 1:%d: nested too deeply (depth above %d)\n" % (
+                column,
+                MAX_DEPTH,
+            )
+            assert captured.out == ""
+        timeout = float(extra[1]) if extra else None
+        for jobs in (1, 2):
+            rows = run_bench(tmp_path, [Heuristic.CLASSIC], Limits(), timeout=timeout, jobs=jobs)
+            assert [r["verdict"] for r in rows] == ["UNKNOWN(error)"] * len(MIXED_TREES)
 
     @pytest.mark.parametrize(
         "source",

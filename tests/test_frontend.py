@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import INT_DIGITS, needs_digit_limit
+from conftest import INT_DIGITS, call_at_depth, needs_digit_limit
 from test_values import VARS, nonbottom
 from prefixselect.frontend import (
     MAX_DEPTH,
@@ -13,6 +13,7 @@ from prefixselect.frontend import (
     load_cfa,
     parse,
 )
+from prefixselect.engine import cegar
 from prefixselect.generators import fig2_program, random_program
 from prefixselect.lang import (
     And,
@@ -32,6 +33,7 @@ from prefixselect.lang import (
     render_program,
     render_tree,
 )
+from prefixselect.refinement import Heuristic
 from prefixselect.values import evaluate
 
 FIG2 = (
@@ -77,6 +79,92 @@ preds = st.recursive(
     ),
     max_leaves=5,
 )
+
+
+TOO_DEEP = r"nested too deeply \(depth above %d\)" % MAX_DEPTH
+
+
+def run_every_pass(source):
+    program = parse(source)
+    cfa = build_cfa(program)
+    render_program(program)
+    cfa_to_dot(cfa)
+    for heuristic in Heuristic:
+        cegar(cfa, heuristic)
+
+
+# The depth rule's reference: a formula is a list of source text and
+# subformulas, and each list is one level, a pair of brackets included.
+
+
+def reference_height(formula) -> int:
+    height, stack = 0, [(formula, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        stack += [(part, level + 1) for part in node if isinstance(part, list)]
+    return height
+
+
+def reference_text(formula) -> str:
+    out, stack = [], [formula]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, str):
+            out.append(part)
+        else:
+            stack += reversed(part)
+    return "".join(out)
+
+
+def _wrap(n, inner, wrap):
+    for _ in range(n):
+        inner = wrap(inner)
+    return inner
+
+
+X, ONE = ["x"], ["1"]
+#: name -> (formula of ``n`` steps, levels per step, whether it is a predicate)
+SHAPES = {
+    "left-chain": (lambda n: _wrap(n - 1, X, lambda f: [f, " + ", X]), 1, False),
+    "right-brackets": (lambda n: _wrap(n, X, lambda f: [X, " - ", ["(", f, ")"]]), 2, False),
+    "not-run": (lambda n: _wrap(n, [X, " == ", ONE], lambda f: ["!", f]), 1, True),
+    "minus-run": (lambda n: _wrap(n, X, lambda f: ["-", f]), 1, False),
+    "bare-brackets": (lambda n: _wrap(n, X, lambda f: ["(", f, ")"]), 1, False),
+    # a chain in brackets in a chain: the parser reads each chain in a loop
+    "bracketed-chains": (lambda n: _wrap(n, X, lambda f: [["(", f, ")"], " + ", X]), 2, False),
+    "not-brackets": (
+        lambda n: _wrap(n, [X, " == ", ONE], lambda f: ["!", ["(", f, ")"]]), 2, True
+    ),
+}
+
+
+def nested_program(blocks, formula, is_predicate):
+    """``formula`` in one statement inside ``blocks`` nested ``if (x == 0)``,
+    and where the reference rejects it: the column of the formula of the
+    first statement deeper than MAX_DEPTH, or None."""
+    cond = [X, " == ", ["0"]]
+    text = "var x; x := 0; "
+    columns = []  # (depth, column of the formula) of each statement
+    for k in range(blocks):
+        columns.append((k + reference_height(cond), len(text) + len("if (") + 1))
+        text += "if (%s) { " % reference_text(cond)
+    head = "assume(" if is_predicate else "x := "
+    columns.append((blocks + reference_height(formula), len(text) + len(head) + 1))
+    text += "%s%s%s error;%s" % (
+        head, reference_text(formula), ");" if is_predicate else ";", " }" * blocks
+    )
+    too_deep = [column for depth, column in columns if depth > MAX_DEPTH]
+    return text, too_deep[0] if too_deep else None
+
+
+def parse_and_check(source, heuristic):
+    try:
+        cfa = load_cfa(source)
+    except ParseError as exc:
+        return str(exc)
+    verdict, stats = cegar(cfa, heuristic)
+    return verdict.render(), stats.states_created, stats.refinements
 
 
 class TestParse:
@@ -277,12 +365,17 @@ class TestBuildCfa:
     @pytest.mark.parametrize(
         "source, entries",
         [
-            # the parser's recursion overflows, the same error from either entry
+            # 3000 brackets: rejected on the way down, before the parser's
+            # recursion can exhaust the stack, the same error from either entry
             ("var x; x := %s1%s;" % ("(" * 3000, ")" * 3000), (load_cfa, parse)),
-            # nested blocks: rejected by the parser's block bound
+            # and so are right operands, ! and unary -
+            ("var x; assume(%sx == 1%s);" % ("x == 1 || (" * 1500, ")" * 1500), (parse,)),
+            ("var x; assume(%sx == 1%s);" % ("!(" * 1500, ")" * 1500), (parse,)),
+            ("var x; x := %s1%s;" % ("1 - -(" * 1500, ")" * 1500), (parse,)),
+            # 400 nested blocks: rejected at the condition of the 256th
             ("var x; %sx := 1;%s" % ("if (x == 0) { " * 400, " }" * 400), (load_cfa, parse)),
         ],
-        ids=["parentheses", "blocks"],
+        ids=["parentheses", "or-brackets", "not-brackets", "minus-brackets", "blocks"],
     )
     def test_deep_nesting_is_parse_error(self, source, entries):
         messages = set()
@@ -302,20 +395,56 @@ class TestBuildCfa:
             (lambda d: "var x; assume(%s);" % " && ".join(["x == 1"] * (d - 1)), 15),
             (lambda d: "var x; if (%sx == 1) { x := 1; }" % ("!" * (d - 2)), 12),
             (lambda d: "var x; while (%s) { x := 0; }" % " || ".join(["x > 0"] * (d - 1)), 15),
-            # d nested blocks; the column is the "{" of the one too deep
+            # ((x + x) + x) + ...: the parser reads each chain in a loop
             (
-                lambda d: "var x; %sx := 1;%s" % ("if (x == 0) { " * d, " }" * d),
-                len("var x; ") + len("if (x == 0) { ") * MAX_DEPTH + len("if (x == 0) {"),
+                lambda d: "var x; x := %s%sx%s;"
+                % ("-" * ((d - 1) % 2), "(" * ((d - 1) // 2), " + x)" * ((d - 1) // 2)),
+                13,
+            ),
+            # d - 1 nested blocks around x := 1; the column is the condition of
+            # the 256th block, whose comparison (height 2) is one level too deep
+            (
+                lambda d: "var x; %sx := 1;%s" % ("if (x == 0) { " * (d - 1), " }" * (d - 1)),
+                len("var x; ") + len("if (x == 0) { ") * (MAX_DEPTH - 1) + len("if (") + 1,
+            ),
+            # 128 blocks around a sum of d - 128 terms
+            (
+                lambda d: "var x; %sx := %s;%s"
+                % ("if (true) { " * 128, " + ".join(["x"] * (d - 128)), " }" * 128),
+                len("var x; ") + len("if (true) { ") * 128 + len("x := ") + 1,
             ),
         ],
-        ids=["sum", "negation", "conjunction", "not", "loop-condition", "blocks"],
+        ids=[
+            "sum", "negation", "conjunction", "not", "loop-condition", "brackets",
+            "blocks", "mixed",
+        ],
     )
     def test_depth_bound(self, program, column):
-        # at the bound, neither the parser nor the CFA builder overflows
-        build_cfa(parse(program(MAX_DEPTH)))
-        with pytest.raises(ParseError, match="nested too deeply") as exc:
-            load_cfa(program(MAX_DEPTH + 1))
-        assert (exc.value.line, exc.value.col) == (1, column)
+        # at the bound every pass fits the stack of a caller 200 frames deep
+        call_at_depth(200, run_every_pass, program(MAX_DEPTH))
+        too_deep = program(MAX_DEPTH + 1)
+        for load in (load_cfa, lambda source: call_at_depth(200, load_cfa, source)):
+            with pytest.raises(ParseError, match=TOO_DEEP) as exc:
+                load(too_deep)
+            assert (exc.value.line, exc.value.col) == (1, column)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(SHAPES)),
+        st.integers(0, MAX_DEPTH + 2),
+        st.integers(-3, 3),
+        st.sampled_from(list(Heuristic)),
+    )
+    def test_depth_rule(self, shape, blocks, excess, heuristic):
+        build, step, is_predicate = SHAPES[shape]
+        formula = build(max(1, (MAX_DEPTH - blocks + excess) // step))
+        source, column = nested_program(blocks, formula, is_predicate)
+        result = parse_and_check(source, heuristic)
+        assert call_at_depth(200, parse_and_check, source, heuristic) == result
+        if column is None:
+            assert isinstance(result, tuple)
+        else:
+            assert result == "1:%d: nested too deeply (depth above %d)" % (column, MAX_DEPTH)
 
     def test_assume_statement(self):
         cfa = load_cfa("var x; assume(x > 0);")

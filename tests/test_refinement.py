@@ -14,13 +14,12 @@ from prefixselect.refinement import (
     DomainType,
     Heuristic,
     Precision,
-    _strongly_connected_components,
     check_refinement_progress,
     choose_sliced_prefix,
     classify_domain_types,
+    depth_first_search,
     live_locations,
     refine_selecting,
-    reverse_postorder,
     score_interpolant_sequence,
     widen_to_live_ranges,
 )
@@ -149,17 +148,29 @@ graphs = st.integers(1, 12).flatmap(
 
 @given(graphs)
 def test_components_are_mutual_reachability_classes(succ):
+    cfa = ControlFlowAutomaton(
+        locations=tuple(succ),
+        initial=0,
+        error=None,
+        edges=tuple((u, NOOP, v) for u, vs in succ.items() for v in sorted(vs)),
+        variables=(),
+    )
     reach_of = {u: reachable(succ, u) for u in succ}
     expected = {frozenset(v for v in reach_of[u] if u in reach_of[v]) for u in succ}
-    found = [frozenset(c) for c in _strongly_connected_components(succ)]
-    assert len(found) == len(set(found)) and set(found) == expected
+    _, component = depth_first_search(cfa)
+    found = {}
+    for loc, name in component.items():
+        found.setdefault(name, set()).add(loc)
+    assert set(component) == set(succ)
+    assert all(name in members for name, members in found.items())
+    assert {frozenset(c) for c in found.values()} == expected
 
 
 class TestReversePostorder:
     @given(st.integers(0, 30), st.integers(0, 300))
     def test_rank_grows_except_on_back_edges(self, seed, index):
         cfa = load_cfa(random_program(seed, index))
-        rank = reverse_postorder(cfa)
+        rank, _ = depth_first_search(cfa)
         assert sorted(rank.values()) == list(range(len(cfa.locations)))
         assert rank[cfa.initial] == 0
         succ = {l: [dst for _, dst in cfa.out_edges(l)] for l in cfa.locations}
@@ -175,14 +186,14 @@ class TestReversePostorder:
             edges=((1, NOOP, 2), (0, NOOP, 3)),
             variables=(),
         )
-        rank = reverse_postorder(cfa)
+        rank, _ = depth_first_search(cfa)
         assert sorted(rank.values()) == [0, 1, 2, 3]
         assert rank[1] < rank[2] and rank[0] < rank[3]
 
     def test_long_chain(self):
         body = " ".join("x := %d;" % k for k in range(3000))
         cfa = load_cfa("var x; %s" % body)
-        rank = reverse_postorder(cfa)
+        rank, _ = depth_first_search(cfa)
         assert all(rank[src] + 1 == rank[dst] for src, _, dst in cfa.edges)
 
 
