@@ -2,14 +2,7 @@
 over infeasible sliced prefixes."""
 
 from .engine import Limits, RunStats, Verdict, cegar, extract_error_path, reach
-from .frontend import (
-    ControlFlowAutomaton,
-    ParseError,
-    build_cfa,
-    cfa_to_dot,
-    load_cfa,
-    parse,
-)
+from .frontend import ControlFlowAutomaton, ParseError, cfa_to_dot, load_cfa
 from .interpolation import (
     InterpolantSequence,
     InterpolationError,

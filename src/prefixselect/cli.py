@@ -88,27 +88,28 @@ def _stats_json(verdict: Verdict, heuristic: Heuristic, stats: RunStats) -> dict
     }
 
 
+def _internal_error(exc: Exception) -> int:
+    log.debug("verification failed", exc_info=True)
+    print("internal error: %s" % exc, file=sys.stderr)
+    return 4
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     limits = Limits(args.max_refinements, args.max_states)
     heuristic = Heuristic(args.heuristic)
     try:
-        source = FsPath(args.file).read_text(encoding="utf-8")
-        cfa = load_cfa(source)
+        cfa = load_cfa(FsPath(args.file).read_text(encoding="utf-8"))
+        if args.emit_cfa:
+            FsPath(args.emit_cfa).write_text(cfa_to_dot(cfa), encoding="utf-8")
     except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    if args.emit_cfa:
-        try:
-            FsPath(args.emit_cfa).write_text(cfa_to_dot(cfa), encoding="utf-8")
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 3
+    except Exception as exc:
+        return _internal_error(exc)
     try:
         verdict, stats = cegar(cfa, heuristic, limits, timeout=args.timeout)
     except Exception as exc:
-        log.debug("verification failed", exc_info=True)
-        print("internal error: %s" % exc, file=sys.stderr)
-        return 4
+        return _internal_error(exc)
     if args.format == "json":
         print(json.dumps(_stats_json(verdict, heuristic, stats)))
     else:

@@ -1,4 +1,4 @@
-"""Parser and control-flow-automaton builder for the toy language.
+"""Loader of the toy language: source text straight to a control-flow automaton.
 
 Grammar (EBNF)::
 
@@ -37,6 +37,16 @@ them, so a run of 3000 ``(`` is rejected before it can exhaust the stack; a
 chain such as ``x + x + x``, which the parser builds in a loop, counts once
 its height is known.
 
+Loading is one pass, with no statement tree in between: the parser adds
+each statement's edges as it reads the statement.  Branches desugar to a pair
+of assume edges, loops to a fresh head with an entering no-op edge, and every
+``error;`` routes via a no-op edge to a single error location.  Each
+statement of a block ends at a fresh location; once ``}`` (or, for the
+program, the end of input) shows which statement was the last, its end is
+merged into the block's exit.  A final pass resolves the merges, prunes the
+locations the initial location does not reach and renumbers the rest in
+creation order, so identical source yields identical automata.
+
 The tokenizer turns the source into ``(text, offset)`` pairs, ending with
 ``("", len(source))``; the parser tests token text alone.  A token that
 starts with a digit is an integer, and a name starts with a letter or ``_``
@@ -54,40 +64,35 @@ from .lang import (
     And,
     Assign,
     AssignNondet,
-    AssignStmt,
     Assume,
-    AssumeStmt,
     BINDING_POWER,
     BinaryOp,
     BoolLit,
     CMP_POWER,
     Comparison,
     EXPR_POWER,
-    ErrorStmt,
     Expr,
-    IfStmt,
     IntLit,
     Negate,
-    NondetStmt,
     NOOP,
     Not,
     Operation,
     Or,
     PREFIX_POWER,
     Pred,
-    Program,
-    Stmt,
     VarRef,
-    WhileStmt,
     render_op,
 )
 
 
 #: Deepest a statement may nest: the blocks around it plus the height of its
-#: formula (see the module docstring).  Parsing, building the automaton,
-#: evaluating, hashing and rendering recurse up to three frames a level; at
-#: this bound each of them, and ``engine.cegar``, fits Python's default
-#: recursion limit of 1000 when called from a stack 200 frames deep.
+#: formula (see the module docstring).  Loading recurses two frames a block
+#: (``stmt`` and ``branch``) and up to five for a ``!(``, which is two formula
+#: levels; comparing formulas recurses three frames a level, hashing two, and
+#: evaluating and rendering one.  At this bound loading and ``engine.cegar``
+#: fit Python's default recursion limit of 1000 when called from a stack 200
+#: frames deep: on Python 3.11, 255 nested blocks load from a caller 480
+#: frames deep, and the tightest formula, a run of ``!(``, from 353.
 MAX_DEPTH = 256
 
 
@@ -98,6 +103,29 @@ class ParseError(ValueError):
         super().__init__("%d:%d: %s" % (line, col, message))
         self.line = line
         self.col = col
+
+
+@dataclass(frozen=True)
+class ControlFlowAutomaton:
+    locations: tuple[int, ...]
+    initial: int
+    error: int | None
+    edges: tuple[tuple[int, Operation, int], ...]
+    variables: tuple[str, ...]
+    _adjacency: dict[int, tuple[tuple[Operation, int], ...]] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
+
+    def __post_init__(self):
+        adj: dict[int, list[tuple[Operation, int]]] = {l: [] for l in self.locations}
+        for src, op, dst in self.edges:
+            adj[src].append((op, dst))
+        object.__setattr__(
+            self, "_adjacency", {l: tuple(v) for l, v in adj.items()}
+        )
+
+    def out_edges(self, loc: int) -> tuple[tuple[Operation, int], ...]:
+        return self._adjacency[loc]
 
 
 # whitespace and comments match no group and are dropped; any other
@@ -135,6 +163,11 @@ class _Parser:
         self.i = 0
         self.declared: list[str] = []
         self.start = 0  # offset of the current statement's formula
+        self.next_loc = 0
+        self.edges: list[tuple[int, Operation, int]] = []
+        # the end of a block's last statement -> the block's exit
+        self.merged: dict[int, int] = {}
+        self.error_loc: int | None = None
 
     # -- token helpers --
 
@@ -176,9 +209,49 @@ class _Parser:
             raise self._error_at("undeclared variable %r" % name, offset)
         return name
 
+    # -- the automaton --
+
+    def fresh(self) -> int:
+        loc = self.next_loc
+        self.next_loc += 1
+        return loc
+
+    def edge(self, src: int, op: Operation, dst: int) -> None:
+        self.edges.append((src, op, dst))
+
+    def automaton(self, initial: int) -> ControlFlowAutomaton:
+        """Resolve the merges, prune what ``initial`` does not reach and
+        renumber the rest in creation order."""
+
+        def resolve(loc: int) -> int:
+            while loc in self.merged:
+                loc = self.merged[loc]
+            return loc
+
+        # a merged location has no out-edges, so only targets move
+        edges = [(src, op, resolve(dst)) for src, op, dst in self.edges]
+        reachable = {initial}
+        changed = True
+        while changed:
+            changed = False
+            for src, _, dst in edges:
+                if src in reachable and dst not in reachable:
+                    reachable.add(dst)
+                    changed = True
+        renum = {old: new for new, old in enumerate(sorted(reachable))}
+        return ControlFlowAutomaton(
+            locations=tuple(range(len(renum))),
+            initial=renum[initial],
+            error=renum.get(self.error_loc),
+            edges=tuple(
+                (renum[src], op, renum[dst]) for src, op, dst in edges if src in reachable
+            ),
+            variables=tuple(self.declared),
+        )
+
     # -- grammar --
 
-    def program(self) -> Program:
+    def program(self) -> ControlFlowAutomaton:
         while self.accept("var"):
             while True:
                 name, offset = self.expect_name()
@@ -188,20 +261,32 @@ class _Parser:
                 if not self.accept(","):
                     break
             self.expect(";")
-        body = []
+        initial, exit_ = self.fresh(), self.fresh()
+        cur = initial
         while self.text:
-            body.append(self.stmt(0))
-        return Program(tuple(self.declared), tuple(body))
+            nxt = self.fresh()
+            self.stmt(0, cur, nxt)
+            cur = nxt
+        if cur != initial:
+            self.merged[cur] = exit_
+        return self.automaton(initial)
 
-    def block(self, blocks: int) -> tuple[Stmt, ...]:
-        """A block whose statements sit inside ``blocks`` blocks."""
+    def branch(self, cond: Pred, blocks: int, entry: int, exit_: int) -> None:
+        """A block entered from ``entry`` by ``assume(cond)`` and left to
+        ``exit_``, whose statements sit inside ``blocks`` blocks."""
         self.expect("{")
-        body = []
+        if self.accept("}"):
+            self.edge(entry, Assume(cond), exit_)
+            return
+        cur = self.fresh()
+        self.edge(entry, Assume(cond), cur)
         while not self.accept("}"):
             if not self.text:
                 raise self._error("unterminated block")
-            body.append(self.stmt(blocks))
-        return tuple(body)
+            nxt = self.fresh()
+            self.stmt(blocks, cur, nxt)
+            cur = nxt
+        self.merged[cur] = exit_
 
     def condition(self, blocks: int) -> Pred:
         self.expect("(")
@@ -209,34 +294,44 @@ class _Parser:
         self.expect(")")
         return cond
 
-    def stmt(self, blocks: int) -> Stmt:
-        """A statement inside ``blocks`` blocks."""
+    def stmt(self, blocks: int, entry: int, exit_: int) -> None:
+        """A statement inside ``blocks`` blocks, from ``entry`` to ``exit_``."""
         if self.accept("if"):
             cond = self.condition(blocks)
-            then_body = self.block(blocks + 1)
-            else_body = self.block(blocks + 1) if self.accept("else") else None
-            return IfStmt(cond, then_body, else_body)
-        if self.accept("while"):
-            return WhileStmt(self.condition(blocks), self.block(blocks + 1))
-        if self.accept("assume"):
+            self.branch(cond, blocks + 1, entry, exit_)
+            if self.accept("else"):
+                self.branch(Not(cond), blocks + 1, entry, exit_)
+            else:
+                self.edge(entry, Assume(Not(cond)), exit_)
+        elif self.accept("while"):
+            cond = self.condition(blocks)
+            head = self.fresh()
+            self.edge(entry, NOOP, head)
+            self.branch(cond, blocks + 1, head, head)
+            self.edge(head, Assume(Not(cond)), exit_)
+        elif self.accept("assume"):
             cond = self.condition(blocks)
             self.expect(";")
-            return AssumeStmt(cond)
-        if self.accept("error"):
+            self.edge(entry, Assume(cond), exit_)
+        elif self.accept("error"):
             self.expect(";")
-            return ErrorStmt()
-        if not _is_name(self.text):
+            if self.error_loc is None:
+                self.error_loc = self.fresh()
+            # exit_ stays unreachable from here; pruned if nothing else reaches it
+            self.edge(entry, NOOP, self.error_loc)
+        elif not _is_name(self.text):
             raise self._found("statement")
-        name = self._check_declared(self.expect_name())
-        self.expect(":=")
-        if self.accept("nondet"):
-            self.expect("(")
-            self.expect(")")
+        else:
+            name = self._check_declared(self.expect_name())
+            self.expect(":=")
+            if self.accept("nondet"):
+                self.expect("(")
+                self.expect(")")
+                op: Operation = AssignNondet(name)
+            else:
+                op = Assign(name, self.statement_formula(EXPR_POWER, blocks))
             self.expect(";")
-            return NondetStmt(name)
-        exp = self.statement_formula(EXPR_POWER, blocks)
-        self.expect(";")
-        return AssignStmt(name, exp)
+            self.edge(entry, op, exit_)
 
     # -- formulas: expressions and predicates, by lang.BINDING_POWER --
     #
@@ -326,139 +421,16 @@ class _Parser:
         raise self._found("expression")
 
 
-def parse(source: str) -> Program:
-    """Parse source text into a Program AST.
+def load_cfa(source: str) -> ControlFlowAutomaton:
+    """Parse source text straight into a control-flow automaton.
 
     Raises ParseError (with line/column) on syntax errors, use of undeclared
     variables, duplicate declarations, an integer literal too long, or a
     statement deeper than MAX_DEPTH (see the module docstring).  Whether a
-    program parses does not depend on the caller's stack: at the bound,
-    ``parse`` and ``build_cfa`` fit from a caller 200 frames deep.
+    program loads does not depend on the caller's stack: at the bound,
+    ``load_cfa`` fits from a caller 200 frames deep.
     """
     return _Parser(source).program()
-
-
-# --- control-flow automaton --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ControlFlowAutomaton:
-    locations: tuple[int, ...]
-    initial: int
-    error: int | None
-    edges: tuple[tuple[int, Operation, int], ...]
-    variables: tuple[str, ...]
-    _adjacency: dict[int, tuple[tuple[Operation, int], ...]] = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
-    )
-
-    def __post_init__(self):
-        adj: dict[int, list[tuple[Operation, int]]] = {l: [] for l in self.locations}
-        for src, op, dst in self.edges:
-            adj[src].append((op, dst))
-        object.__setattr__(
-            self, "_adjacency", {l: tuple(v) for l, v in adj.items()}
-        )
-
-    def out_edges(self, loc: int) -> tuple[tuple[Operation, int], ...]:
-        return self._adjacency[loc]
-
-
-class _CfaBuilder:
-    def __init__(self):
-        self.next_loc = 0
-        self.edges: list[tuple[int, Operation, int]] = []
-        self.error_loc: int | None = None
-
-    def fresh(self) -> int:
-        loc = self.next_loc
-        self.next_loc += 1
-        return loc
-
-    def edge(self, src: int, op: Operation, dst: int) -> None:
-        self.edges.append((src, op, dst))
-
-    def block(self, stmts: tuple[Stmt, ...], entry: int, exit_: int) -> None:
-        if not stmts:
-            self.edge(entry, NOOP, exit_)
-            return
-        cur = entry
-        for k, stmt in enumerate(stmts):
-            nxt = exit_ if k == len(stmts) - 1 else self.fresh()
-            self.stmt(stmt, cur, nxt)
-            cur = nxt
-
-    def stmt(self, stmt: Stmt, entry: int, exit_: int) -> None:
-        if isinstance(stmt, AssignStmt):
-            self.edge(entry, Assign(stmt.var, stmt.expr), exit_)
-        elif isinstance(stmt, NondetStmt):
-            self.edge(entry, AssignNondet(stmt.var), exit_)
-        elif isinstance(stmt, AssumeStmt):
-            self.edge(entry, Assume(stmt.pred), exit_)
-        elif isinstance(stmt, ErrorStmt):
-            if self.error_loc is None:
-                self.error_loc = self.fresh()
-            self.edge(entry, NOOP, self.error_loc)
-            # exit_ stays unreachable from here; pruned later if dead
-        elif isinstance(stmt, IfStmt):
-            self._branch(stmt.cond, stmt.then_body, entry, exit_)
-            self._branch(Not(stmt.cond), stmt.else_body or (), entry, exit_)
-        else:  # WhileStmt
-            head = self.fresh()
-            self.edge(entry, NOOP, head)
-            self._branch(stmt.cond, stmt.body, head, head)
-            self.edge(head, Assume(Not(stmt.cond)), exit_)
-
-    def _branch(self, cond: Pred, body: tuple[Stmt, ...], entry: int, exit_: int) -> None:
-        if body:
-            first = self.fresh()
-            self.edge(entry, Assume(cond), first)
-            self.block(body, first, exit_)
-        else:
-            self.edge(entry, Assume(cond), exit_)
-
-
-def build_cfa(program: Program) -> ControlFlowAutomaton:
-    """Build a control-flow automaton from a parsed program.
-
-    Branches desugar to a pair of assume edges, loops to a fresh head with an
-    entering no-op edge, and every ``error;`` routes via a no-op edge to a
-    single error location.  Unreachable locations are pruned and location ids
-    renumbered in creation order, so identical source yields identical
-    automata.
-    """
-    b = _CfaBuilder()
-    initial = b.fresh()
-    if program.body:
-        b.block(program.body, initial, b.fresh())
-
-    # prune locations unreachable from the initial location
-    reachable = {initial}
-    changed = True
-    while changed:
-        changed = False
-        for src, _, dst in b.edges:
-            if src in reachable and dst not in reachable:
-                reachable.add(dst)
-                changed = True
-    kept = sorted(reachable)
-    renum = {old: new for new, old in enumerate(kept)}
-    edges = tuple(
-        (renum[src], op, renum[dst]) for src, op, dst in b.edges if src in reachable
-    )
-    error = renum.get(b.error_loc) if b.error_loc is not None else None
-    return ControlFlowAutomaton(
-        locations=tuple(range(len(kept))),
-        initial=renum[initial],
-        error=error,
-        edges=edges,
-        variables=program.variables,
-    )
-
-
-def load_cfa(source: str) -> ControlFlowAutomaton:
-    """Parse and build; raises ParseError on any input ``parse`` rejects."""
-    return build_cfa(parse(source))
 
 
 def cfa_to_dot(cfa: ControlFlowAutomaton) -> str:

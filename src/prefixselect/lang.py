@@ -1,4 +1,4 @@
-"""AST and edge operations for the toy imperative integer language.
+"""Formula trees and edge operations for the toy imperative integer language.
 
 Expressions and predicates are immutable trees over arbitrary-precision
 integers.  Edge operations (assignment, nondeterministic assignment, assume)
@@ -166,13 +166,12 @@ def render_tree(tree: Expr | Pred, power: int = 0) -> str:
         return "!" + render_tree(tree.operand, CMP_POWER)
     if isinstance(tree, (And, Or)):
         op = "&&" if isinstance(tree, And) else "||"
-        # && and || are associative, so neither side of a chain is bracketed
-        right = BINDING_POWER[op]
     else:
         op = tree.op
-        right = BINDING_POWER[op] + 1
     own = BINDING_POWER[op]
-    text = "%s %s %s" % (render_tree(tree.left, own), op, render_tree(tree.right, right))
+    # operators of equal power group to the left, so a right operand of equal
+    # power is bracketed
+    text = "%s %s %s" % (render_tree(tree.left, own), op, render_tree(tree.right, own + 1))
     # a comparison is bracketed wherever it is an operand, which keeps guards
     # readable
     if own < power or (power and isinstance(tree, Comparison)):
@@ -186,90 +185,3 @@ def render_op(op: Operation) -> str:
     if isinstance(op, AssignNondet):
         return "%s := nondet()" % op.var
     return "[%s]" % render_tree(op.pred)
-
-
-# --- statements / program ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AssignStmt:
-    var: str
-    expr: Expr
-
-
-@dataclass(frozen=True)
-class NondetStmt:
-    var: str
-
-
-@dataclass(frozen=True)
-class AssumeStmt:
-    pred: Pred
-
-
-@dataclass(frozen=True)
-class ErrorStmt:
-    pass
-
-
-@dataclass(frozen=True)
-class IfStmt:
-    cond: Pred
-    then_body: tuple["Stmt", ...]
-    else_body: tuple["Stmt", ...] | None
-
-
-@dataclass(frozen=True)
-class WhileStmt:
-    cond: Pred
-    body: tuple["Stmt", ...]
-
-
-Stmt = Union[AssignStmt, NondetStmt, AssumeStmt, ErrorStmt, IfStmt, WhileStmt]
-
-
-@dataclass(frozen=True)
-class Program:
-    variables: tuple[str, ...]  # declaration order
-    body: tuple[Stmt, ...]
-
-
-def _render_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(stmt, AssignStmt):
-        out.append("%s%s := %s;" % (pad, stmt.var, render_tree(stmt.expr)))
-    elif isinstance(stmt, NondetStmt):
-        out.append("%s%s := nondet();" % (pad, stmt.var))
-    elif isinstance(stmt, AssumeStmt):
-        out.append("%sassume(%s);" % (pad, render_tree(stmt.pred)))
-    elif isinstance(stmt, ErrorStmt):
-        out.append("%serror;" % pad)
-    elif isinstance(stmt, IfStmt):
-        out.append("%sif (%s) {" % (pad, render_tree(stmt.cond)))
-        for s in stmt.then_body:
-            _render_stmt(s, indent + 1, out)
-        if stmt.else_body is None:
-            out.append("%s}" % pad)
-        else:
-            out.append("%s} else {" % pad)
-            for s in stmt.else_body:
-                _render_stmt(s, indent + 1, out)
-            out.append("%s}" % pad)
-    else:
-        out.append("%swhile (%s) {" % (pad, render_tree(stmt.cond)))
-        for s in stmt.body:
-            _render_stmt(s, indent + 1, out)
-        out.append("%s}" % pad)
-
-
-def render_program(program: Program) -> str:
-    """Pretty-print a program; parsing the result yields an equal AST.
-
-    A comparison inside ``&&``, ``||`` or ``!`` is bracketed, which can take
-    a program at ``frontend.MAX_DEPTH`` one level past it."""
-    lines: list[str] = []
-    if program.variables:
-        lines.append("var %s;" % ", ".join(program.variables))
-    for stmt in program.body:
-        _render_stmt(stmt, 0, lines)
-    return "\n".join(lines) + "\n"

@@ -140,7 +140,7 @@ def depth_first_search(
 
     Across every edge other than a back edge the rank grows, so a higher
     rank is a deeper program point.  Every location gets a rank, also one the
-    initial location does not reach (a CFA from ``build_cfa`` has none).
+    initial location does not reach (a CFA from ``load_cfa`` has none).
     Iterative, so that a long chain of locations cannot exhaust the recursion
     limit."""
     index: dict[int, int] = {}

@@ -284,12 +284,14 @@ class TestVerify:
         assert "RESULT: UNKNOWN(refinement-limit)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("extra", [[], ["--timeout", "20"]])
-    def test_crash_exit_four(self, safe_file, capsys, monkeypatch, extra):
+    @pytest.mark.parametrize("crashed", ["cegar", "load_cfa", "cfa_to_dot"])
+    def test_crash_exit_four(self, safe_file, tmp_path, capsys, monkeypatch, crashed, extra):
         def crash(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(cli, "cegar", crash)
-        code = main(["verify", str(safe_file)] + extra)
+        monkeypatch.setattr(cli, crashed, crash)
+        emit = ["--emit-cfa", str(tmp_path / "cfa.dot")] if crashed == "cfa_to_dot" else []
+        code = main(["verify", str(safe_file)] + emit + extra)
         captured = capsys.readouterr()
         assert code == 4
         assert "internal error: maximum recursion depth exceeded" in captured.err

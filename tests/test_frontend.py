@@ -1,24 +1,24 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import INT_DIGITS, call_at_depth, needs_digit_limit
-from test_values import VARS, nonbottom
-from prefixselect.frontend import (
-    MAX_DEPTH,
-    ParseError,
-    build_cfa,
-    cfa_to_dot,
-    load_cfa,
-    parse,
+from conftest import (
+    INT_DIGITS,
+    assign,
+    assign_expr,
+    assume_cmp,
+    call_at_depth,
+    needs_digit_limit,
 )
+from test_values import VARS, nonbottom
+from prefixselect.frontend import MAX_DEPTH, ParseError, cfa_to_dot, load_cfa
 from prefixselect.engine import cegar
 from prefixselect.generators import fig2_program, random_program
 from prefixselect.lang import (
     And,
     Assign,
-    AssignStmt,
+    AssignNondet,
     Assume,
     BinaryOp,
     BoolLit,
@@ -28,19 +28,19 @@ from prefixselect.lang import (
     NOOP,
     Not,
     Or,
-    Program,
     VarRef,
-    render_program,
     render_tree,
 )
 from prefixselect.refinement import Heuristic
-from prefixselect.values import evaluate
+from prefixselect.values import Assignment, evaluate
 
 FIG2 = (
     "var b,i; b := 1; i := 0; "
     "while (i < 1000) { i := i + 1; } "
     "if (b == 0) { error; }"
 )
+
+X1, X2, X3 = (Comparison("==", VarRef("x"), IntLit(k)) for k in (1, 2, 3))
 
 # predicates that open with a bracket, rendered or not
 BRACKETED = [
@@ -84,10 +84,17 @@ preds = st.recursive(
 TOO_DEEP = r"nested too deeply \(depth above %d\)" % MAX_DEPTH
 
 
+def assume_not(x: str, op: str, c: int) -> Assume:
+    return Assume(Not(Comparison(op, VarRef(x), IntLit(c))))
+
+
+def first_op(source):
+    """The operation on the first edge of the automaton of ``source``."""
+    return load_cfa(source).edges[0][1]
+
+
 def run_every_pass(source):
-    program = parse(source)
-    cfa = build_cfa(program)
-    render_program(program)
+    cfa = load_cfa(source)
     cfa_to_dot(cfa)
     for heuristic in Heuristic:
         cegar(cfa, heuristic)
@@ -169,20 +176,21 @@ def parse_and_check(source, heuristic):
 
 class TestParse:
     def test_declaration_and_assignment(self):
-        program = parse("var x; x := 1;")
-        assert program == Program(("x",), (AssignStmt("x", IntLit(1)),))
+        cfa = load_cfa("var x; x := 1;")
+        assert cfa.variables == ("x",)
+        assert cfa.edges == ((0, Assign("x", IntLit(1)), 1),)
 
     def test_undeclared_variable(self):
         with pytest.raises(ParseError, match="undeclared variable 'y'"):
-            parse("var x; x := y;")
+            load_cfa("var x; x := y;")
 
     def test_duplicate_declaration(self):
         with pytest.raises(ParseError, match="duplicate declaration"):
-            parse("var x, x;")
+            load_cfa("var x, x;")
 
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as exc:
-            parse("var x;\nx : = 1;")
+            load_cfa("var x;\nx : = 1;")
         assert exc.value.line == 2
 
     @pytest.mark.parametrize(
@@ -206,68 +214,65 @@ class TestParse:
     )
     def test_error_message_and_position(self, source, error):
         with pytest.raises(ParseError) as exc:
-            parse(source)
+            load_cfa(source)
         assert str(exc.value) == error
         line, col, _ = error.split(":", 2)
         assert (exc.value.line, exc.value.col) == (int(line), int(col))
 
     def test_longest_convertible_literal(self):
         digits = "9" * (INT_DIGITS or 4300)
-        assert parse("var x; x := %s;" % digits).body[0].expr == IntLit(int(digits))
+        assert first_op("var x; x := %s;" % digits) == Assign("x", IntLit(int(digits)))
 
     @needs_digit_limit
     def test_literal_too_long(self):
         with pytest.raises(ParseError) as exc:
-            parse("var x;\nx := -%s;" % ("9" * (INT_DIGITS + 1)))
+            load_cfa("var x;\nx := -%s;" % ("9" * (INT_DIGITS + 1)))
         assert str(exc.value) == "2:7: integer literal too long"
 
     def test_flag_loop_program(self):
-        program = parse(FIG2)
-        assert program.variables == ("b", "i")
-        kinds = [type(s).__name__ for s in program.body]
-        assert kinds == ["AssignStmt", "AssignStmt", "WhileStmt", "IfStmt"]
+        cfa = load_cfa(FIG2)
+        assert cfa.variables == ("b", "i")
+        kinds = [type(op).__name__ for _, op, _ in cfa.edges]
+        assert kinds == ["Assign", "Assign"] + ["Assume"] * 2 + ["Assign"] + ["Assume"] * 4
 
     def test_comments_and_nondet(self):
-        program = parse("var x; // comment\nx := nondet(); // more\n")
-        assert type(program.body[0]).__name__ == "NondetStmt"
+        assert load_cfa("var x; // comment\nx := nondet(); // more\n").edges == (
+            (0, AssignNondet("x"), 1),
+        )
 
     def test_operator_precedence(self):
-        program = parse("var x; x := 1 + 2 * 3;")
-        assert program.body[0].expr == BinaryOp(
-            "+", IntLit(1), BinaryOp("*", IntLit(2), IntLit(3))
+        assert first_op("var x; x := 1 + 2 * 3;") == Assign(
+            "x", BinaryOp("+", IntLit(1), BinaryOp("*", IntLit(2), IntLit(3)))
         )
 
     def test_predicate_grammar(self):
-        program = parse("var x, y; assume((x == 0 || y > 1) && !(x != y));")
-        assert type(program.body[0]).__name__ == "AssumeStmt"
+        x, y = VarRef("x"), VarRef("y")
+        assert first_op("var x, y; assume((x == 0 || y > 1) && !(x != y));") == Assume(
+            And(
+                Or(Comparison("==", x, IntLit(0)), Comparison(">", y, IntLit(1))),
+                Not(Comparison("!=", x, y)),
+            )
+        )
 
-    @pytest.mark.parametrize("index", range(12))
-    def test_roundtrip_random_programs(self, index):
-        first = parse(random_program(3, index))
-        rendered = render_program(first)
-        assert parse(rendered) == first
-        assert render_program(parse(rendered)) == rendered
-
-    def test_roundtrip_flag_loop(self):
-        first = parse(FIG2)
-        assert parse(render_program(first)) == first
-
+    # a right-nested chain keeps its brackets
+    @example(Or(X1, Or(X2, X3)), Assignment({"x": 2}))
+    @example(And(X1, And(X2, X3)), Assignment({"x": 1}))
     @given(preds, nonbottom)
     def test_roundtrip_generated_predicates(self, p, v):
         text = render_tree(p)
-        parsed = parse("var x, y, z; assume(%s);" % text).body[0].pred
+        parsed = first_op("var x, y, z; assume(%s);" % text).pred
+        assert parsed == p
         assert render_tree(parsed) == text
         assert evaluate(parsed, v) is evaluate(p, v)
 
     def test_bracketed_operands(self):
-        program = parse("var x, y; assume(%s);" % BRACKETED[0])
         x, y, one = VarRef("x"), VarRef("y"), IntLit(1)
-        assert program.body[0].pred == And(
+        assert first_op("var x, y; assume(%s);" % BRACKETED[0]).pred == And(
             Comparison("==", BinaryOp("*", BinaryOp("+", x, one), IntLit(2)), IntLit(3)),
             Not(Comparison(">=", y, Negate(x))),
         )
         # ! reads a comparison
-        assert parse("var x, y; assume(!x == 1 && y == 2);").body[0].pred == And(
+        assert first_op("var x, y; assume(!x == 1 && y == 2);").pred == And(
             Not(Comparison("==", x, one)), Comparison("==", y, IntLit(2))
         )
 
@@ -283,7 +288,7 @@ class TestParse:
         sources = [FIG2] + [random_program(3, i) for i in range(12)]
         sources += ["var x, y, z; assume(%s);" % p for p in BRACKETED]
         for source in sources:
-            parse(source)
+            load_cfa(source)
         assert built == []
 
 
@@ -359,31 +364,139 @@ class TestBuildCfa:
         without = load_cfa("var x; x := 0; error;")
         assert len(with_dead.locations) == len(without.locations)
 
-    def test_deterministic(self):
-        assert load_cfa(FIG2) == load_cfa(FIG2)
+    @pytest.mark.parametrize(
+        "source",
+        # comparing the automata of the deepest nesting does not recurse per block
+        [FIG2, "var x; %sx := 1;%s" % ("if (x == 0) { " * 255, " }" * 255)],
+        ids=["flag-loop", "255-blocks"],
+    )
+    def test_deterministic(self, source):
+        assert load_cfa(source) == load_cfa(source)
+
+    # Every statement of a block ends at a fresh location, and the last one's
+    # end is merged into the block's exit.  The expected automata are those of
+    # the earlier two-pass builder, which sent the last statement straight to
+    # the exit.
+    @pytest.mark.parametrize(
+        "source, edges, initial, error",
+        [
+            pytest.param(
+                "var x; while (x < 3) { x := x + 1; if (x == 1) { x := 2; } }",
+                (
+                    (0, NOOP, 2),
+                    (2, assume_cmp("x", "<", 3), 3),
+                    (3, assign_expr("x", "x", "+", 1), 4),
+                    (4, assume_cmp("x", "==", 1), 5),
+                    (5, assign("x", 2), 2),
+                    (4, assume_not("x", "==", 1), 2),
+                    (2, assume_not("x", "<", 3), 1),
+                ),
+                0,
+                None,
+                id="if-last-in-loop",
+            ),
+            pytest.param(
+                "var x; if (x == 0) { x := 1; if (x == 1) { x := 2; } } "
+                "else { if (x == 2) { x := 3; } }",
+                (
+                    (0, assume_cmp("x", "==", 0), 2),
+                    (2, assign("x", 1), 3),
+                    (3, assume_cmp("x", "==", 1), 4),
+                    (4, assign("x", 2), 1),
+                    (3, assume_not("x", "==", 1), 1),
+                    (0, assume_not("x", "==", 0), 5),
+                    (5, assume_cmp("x", "==", 2), 6),
+                    (6, assign("x", 3), 1),
+                    (5, assume_not("x", "==", 2), 1),
+                ),
+                0,
+                None,
+                id="nested-if-last-in-both-arms",
+            ),
+            pytest.param(
+                "var x; if (x == 0) { } else { } x := 1;",
+                (
+                    (0, assume_cmp("x", "==", 0), 2),
+                    (0, assume_not("x", "==", 0), 2),
+                    (2, assign("x", 1), 1),
+                ),
+                0,
+                None,
+                id="empty-arms",
+            ),
+            pytest.param(
+                "var x; while (x < 1) { } x := 2;",
+                (
+                    (0, NOOP, 3),
+                    (3, assume_cmp("x", "<", 1), 3),
+                    (3, assume_not("x", "<", 1), 2),
+                    (2, assign("x", 2), 1),
+                ),
+                0,
+                None,
+                id="empty-loop",
+            ),
+            pytest.param(
+                "var x; if (x == 0) { x := 1; error; } x := 2;",
+                (
+                    (0, assume_cmp("x", "==", 0), 3),
+                    (3, assign("x", 1), 4),
+                    (4, NOOP, 5),
+                    (0, assume_not("x", "==", 0), 2),
+                    (2, assign("x", 2), 1),
+                ),
+                0,
+                5,
+                id="error-last",
+            ),
+            pytest.param(
+                "var x; x := 0; error; x := 1; x := 2;",
+                (
+                    (0, assign("x", 0), 1),
+                    (1, NOOP, 2),
+                ),
+                0,
+                2,
+                id="error-then-dead-code",
+            ),
+            pytest.param(
+                "",
+                (),
+                0,
+                None,
+                id="empty-program",
+            ),
+            pytest.param(
+                "var x, y;",
+                (),
+                0,
+                None,
+                id="declarations-only",
+            ),
+        ],
+    )
+    def test_merged_ends(self, source, edges, initial, error):
+        cfa = load_cfa(source)
+        assert (cfa.edges, cfa.initial, cfa.error) == (edges, initial, error)
 
     @pytest.mark.parametrize(
-        "source, entries",
+        "source",
         [
             # 3000 brackets: rejected on the way down, before the parser's
-            # recursion can exhaust the stack, the same error from either entry
-            ("var x; x := %s1%s;" % ("(" * 3000, ")" * 3000), (load_cfa, parse)),
+            # recursion can exhaust the stack
+            "var x; x := %s1%s;" % ("(" * 3000, ")" * 3000),
             # and so are right operands, ! and unary -
-            ("var x; assume(%sx == 1%s);" % ("x == 1 || (" * 1500, ")" * 1500), (parse,)),
-            ("var x; assume(%sx == 1%s);" % ("!(" * 1500, ")" * 1500), (parse,)),
-            ("var x; x := %s1%s;" % ("1 - -(" * 1500, ")" * 1500), (parse,)),
+            "var x; assume(%sx == 1%s);" % ("x == 1 || (" * 1500, ")" * 1500),
+            "var x; assume(%sx == 1%s);" % ("!(" * 1500, ")" * 1500),
+            "var x; x := %s1%s;" % ("1 - -(" * 1500, ")" * 1500),
             # 400 nested blocks: rejected at the condition of the 256th
-            ("var x; %sx := 1;%s" % ("if (x == 0) { " * 400, " }" * 400), (load_cfa, parse)),
+            "var x; %sx := 1;%s" % ("if (x == 0) { " * 400, " }" * 400),
         ],
         ids=["parentheses", "or-brackets", "not-brackets", "minus-brackets", "blocks"],
     )
-    def test_deep_nesting_is_parse_error(self, source, entries):
-        messages = set()
-        for entry in entries:
-            with pytest.raises(ParseError, match="nested too deeply") as exc:
-                entry(source)
-            messages.add(str(exc.value))
-        assert len(messages) == 1
+    def test_deep_nesting_is_parse_error(self, source):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load_cfa(source)
 
     @pytest.mark.parametrize(
         "program, column",
@@ -453,7 +566,7 @@ class TestBuildCfa:
 
 class TestDot:
     def test_empty_program(self):
-        dot = cfa_to_dot(build_cfa(parse("")))
+        dot = cfa_to_dot(load_cfa(""))
         assert dot.startswith("digraph") and dot.count("shape=") == 1
 
     def test_one_edge(self):
@@ -470,4 +583,4 @@ class TestDot:
         assert ("l%d [shape=diamond" % branch_src) in dot
 
     def test_boollit_rendering(self):
-        assert parse("var x; assume(true);").body[0].pred == BoolLit(True)
+        assert first_op("var x; assume(true);") == Assume(BoolLit(True))
