@@ -8,20 +8,23 @@ the root avoids every location whose tracked set grew are kept, and only the
 work the refinement invalidated is redone (lazy abstraction, Henzinger,
 Jhala, Majumdar and Sutre, POPL 2002).
 
-The worklist is breadth-first from the root, so the first counterexample is
-a shortest one.  A resumed exploration expands the state at the deepest
-program point first (highest reverse-postorder rank, ties in creation
-order), so that it heads for the next counterexample instead of first
-widening the frontier that the refinement left.  The configurable program
-analysis algorithm leaves this order open (Beyer, Henzinger and Théoduloz,
-CAV 2007); the verdict does not depend on it.
+The waitlist is one heap of (priority, creation index, state).  An
+exploration from the root gives every state priority 0, so it is
+breadth-first and the first counterexample is a shortest one.  A resumed
+exploration gives a state the negated reverse-postorder rank of its location
+and so expands the state at the deepest program point first, ties in
+creation order, so that it heads for the next counterexample instead of
+first widening the frontier that the refinement left.  A state is open while
+its successors may not all be in the reached set; the waitlist of a resumed
+exploration is its open states.  The configurable program analysis
+algorithm leaves this order open (Beyer, Henzinger and Théoduloz, CAV 2007);
+the verdict does not depend on it.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
@@ -87,17 +90,20 @@ class Verdict:
 
 
 class State:
-    """``dropped`` is set when the state's last expansion dropped a successor
-    as covered: its coverer may be pruned later, so the state is reopened."""
+    """``open`` marks a state whose successors may not all be in the reached
+    set.  It is set when the state is created and cleared when ``reach`` pops
+    it; an expansion that drops a successor as covered sets it again, since
+    the coverer may be pruned later, and so does ``prune`` when it removes a
+    successor."""
 
-    __slots__ = ("loc", "value", "parent", "op_in", "dropped")
+    __slots__ = ("loc", "value", "parent", "op_in", "open")
 
     def __init__(self, loc, value, parent=None, op_in=None):
         self.loc = loc
         self.value = value
         self.parent = parent
         self.op_in = op_in
-        self.dropped = False
+        self.open = True
 
 
 class ReachedSet:
@@ -113,11 +119,12 @@ class ReachedSet:
     O(#domains x |def|).  ``states`` holds every stored state in creation
     order, so a parent always precedes its children.
 
-    The waitlist is first-in first-out until ``prune`` keeps a state.  From
-    then on it is a heap of (-rank, creation index, state), where ``rank``
-    maps each location to its reverse-postorder rank
-    (``refinement.depth_first_search``), so ``pop`` returns the state at the
-    deepest location, the earliest created among equals.
+    The waitlist is a heap of (priority, creation index, state), so ``pop``
+    returns the state of least priority, the earliest created among equals.
+    The priority is 0, which makes the order first-in first-out, until
+    ``prune`` keeps a state; from then on it is the negated reverse-postorder
+    rank of the state's location (``rank``, from
+    ``refinement.depth_first_search``), so the deepest state comes first.
     """
 
     def __init__(self, rank: Optional[Mapping[int, int]] = None):
@@ -125,8 +132,8 @@ class ReachedSet:
         # loc -> domain -> (projection onto the domain, projected values stored)
         self.by_loc: dict[int, dict[frozenset[str], tuple[Callable, set]]] = {}
         self.states: list[State] = []
-        self.waitlist: deque[State] | list[tuple[int, int, State]] = deque()
-        self.resumed = False
+        self.waitlist: list[tuple[int, int, State]] = []
+        self.priority: Mapping[int, int] = {}  # loc -> priority; 0 if absent
         self.error_state: Optional[State] = None
 
     @property
@@ -152,23 +159,12 @@ class ReachedSet:
         if entry is None:
             entry = domains[domain] = (_projection(domain), set())
         entry[1].add(entry[0](bindings))
-        if self.resumed:
-            heappush(self.waitlist, (-self.rank[state.loc], len(self.states), state))
-        else:
-            self.waitlist.append(state)
+        heappush(self.waitlist, (self.priority.get(state.loc, 0), len(self.states), state))
         self.states.append(state)
 
     def pop(self) -> State:
         """Take the next state to expand off the waitlist."""
-        if self.resumed:
-            return heappop(self.waitlist)[2]
-        return self.waitlist.popleft()
-
-    def waiting(self) -> list[State]:
-        """The states on the waitlist, in no particular order."""
-        if self.resumed:
-            return [entry[2] for entry in self.waitlist]
-        return list(self.waitlist)
+        return heappop(self.waitlist)[2]
 
     def prune(self, changed: Collection[int]) -> None:
         """Remove the error state and every state whose chain from the root
@@ -176,21 +172,18 @@ class ReachedSet:
 
         The kept states are exactly what a fresh exploration under the grown
         precision computes along the same chains, because their values depend
-        only on the tracked sets of unchanged locations.  The waitlist becomes
-        the kept states whose expansion is not complete under that precision:
-        parents of removed states, states that dropped a successor as covered,
-        and states never expanded.  It pops the deepest of them first, by
-        ``rank``.  If the root is removed nothing is kept, and the waitlist is
-        first-in first-out again for the fresh exploration.
+        only on the tracked sets of unchanged locations.  Removing a state
+        opens its parent, and the waitlist becomes the open kept states,
+        deepest first.  If the root is removed nothing is kept, and the
+        priority is 0 again for the fresh exploration.
         """
-        pending = set(self.waiting())
         removed: set[State] = set()
-        reopened: set[State] = set()
         kept = []
         for state in self.states:
             if state.loc in changed or state.parent in removed or state is self.error_state:
                 removed.add(state)
-                reopened.add(state.parent)
+                if state.parent is not None:
+                    state.parent.open = True
                 bindings = state.value.bindings
                 domains = self.by_loc[state.loc]
                 domain = frozenset(bindings)
@@ -202,17 +195,9 @@ class ReachedSet:
                 kept.append(state)
         self.states = kept
         self.error_state = None
-        self.resumed = bool(kept)
-        if self.resumed:
-            rank = self.rank
-            self.waitlist = [
-                (-rank[s.loc], index, s)
-                for index, s in enumerate(kept)
-                if s.dropped or s in pending or s in reopened
-            ]
-            heapify(self.waitlist)
-        else:
-            self.waitlist = deque()
+        self.priority = {loc: -r for loc, r in self.rank.items()} if kept else {}
+        self.waitlist = [(self.priority[s.loc], i, s) for i, s in enumerate(kept) if s.open]
+        heapify(self.waitlist)
 
 
 def _projection(domain: frozenset[str]) -> Callable[[Mapping[str, int]], object]:
@@ -237,39 +222,39 @@ def reach(
     ``reached``, if given, is a set that ``ReachedSet.prune`` left valid under
     ``precision``; exploration continues from its waitlist, deepest state
     first, and breadth-first from a fresh root only if the root was pruned.
+    ``stats``, if given, collects the states created and the coverage hits.
     Raises LimitReached("state-limit") when the set would hold more than
     max_states states, kept and new together, and LimitReached("timeout") if
     ``deadline`` has passed before a state is expanded.
     """
+    if stats is None:
+        stats = RunStats()
     if reached is None:
         reached = ReachedSet(depth_first_search(cfa)[0])
     if not reached.size:
         root = State(cfa.initial, TOP)
         reached.add(root)
-        if stats is not None:
-            stats.states_created += 1
+        stats.states_created += 1
         if cfa.error is not None and cfa.initial == cfa.error:
             reached.error_state = root
             return reached, True
     while reached.waitlist:
         check_deadline(deadline)
         state = reached.pop()
-        state.dropped = False
+        state.open = False
         for op, dst in cfa.out_edges(state.loc):
             value = restrict(sp(op, state.value), precision.at(dst))
             if value is BOTTOM:
                 continue
             if reached.covered(dst, value):
-                state.dropped = True
-                if stats is not None:
-                    stats.coverage_hits += 1
+                state.open = True
+                stats.coverage_hits += 1
                 continue
             successor = State(dst, value, state, op)
             if reached.size >= max_states:
                 raise LimitReached("state-limit")
             reached.add(successor)
-            if stats is not None:
-                stats.states_created += 1
+            stats.states_created += 1
             if dst == cfa.error:
                 reached.error_state = successor
                 return reached, True

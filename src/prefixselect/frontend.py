@@ -128,12 +128,12 @@ class ControlFlowAutomaton:
         return self._adjacency[loc]
 
 
-# whitespace and comments match no group and are dropped; any other
-# character matches ``bad``
+# whitespace and comments match no group and are dropped; literals and names
+# are ASCII, and any other character matches ``bad``
 _TOKEN_RE = re.compile(
     r"""
       \s+ | //[^\n]*
-    | (?P<token>\d+ | [A-Za-z_][A-Za-z_0-9]* | := | == | != | <= | >= | && | \|\|
+    | (?P<token>[0-9]+ | [A-Za-z_][A-Za-z_0-9]* | := | == | != | <= | >= | && | \|\|
                 | [-+*/%<>!(){};,])
     | (?P<bad>.)
     """,

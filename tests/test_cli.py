@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -25,6 +27,7 @@ from prefixselect.generators import (
 from prefixselect.refinement import Heuristic
 
 SAFE = "var x; x := 0; if (x > 0) { error; }"
+GOLDEN_BENCH = FsPath(__file__).parent / "golden" / "bench.csv"
 UNSAFE = "var x; x := nondet(); assume(x == 5); if (x == 5) { error; }"
 
 
@@ -99,12 +102,26 @@ class TestVerify:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
-    def test_parse_error_exit_three(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            ("var x; y := 1;", "1:8: undeclared variable 'y'"),
+            # ARABIC-INDIC DIGIT THREE is a Unicode decimal digit, not a literal
+            (
+                "var x; x := \u0663\u0663; if (x == 33) { error; }",
+                "1:13: unexpected character '\u0663'",
+            ),
+        ],
+        ids=["undeclared", "non-ascii-digits"],
+    )
+    def test_parse_error_exit_three(self, tmp_path, capsys, source, error):
         p = tmp_path / "bad.imp"
-        p.write_text("var x; y := 1;", encoding="utf-8")
+        p.write_text(source, encoding="utf-8")
         code = main(["verify", str(p)])
+        captured = capsys.readouterr()
         assert code == 3
-        assert "error:" in capsys.readouterr().err
+        assert captured.err == "error: %s\n" % error
+        assert "RESULT" not in captured.out
 
     @pytest.mark.parametrize("extra", [[], ["--timeout", "20"]])
     def test_non_utf8_exit_three(self, tmp_path, capsys, extra):
@@ -501,6 +518,38 @@ class TestBench:
         code = main(["bench", str(tmp_path / "nope")])
         assert code == 3
         capsys.readouterr()
+
+    def test_golden_corpus(self, tmp_path, capsys):
+        """``bench`` over a fixed corpus prints ``tests/golden/bench.csv``
+        byte for byte.
+
+        The corpus is ``gen random --seed 7 --count 120``, ``gen fig2 --n``
+        10, 100 and 300 and ``gen wide --k`` 6, 7 and 8.  The file records
+        what the checker answered when it was written, wrong verdicts
+        included: it detects a change, it is not an oracle.  A change that
+        means to move rows regenerates it::
+
+            for a in "random --seed 7 --count 120" "fig2 --n 10" "fig2 --n 100" \\
+                     "fig2 --n 300" "wide --k 6" "wide --k 7" "wide --k 8"; do
+                prefixselect gen $a --out corpus
+            done
+            prefixselect bench corpus > tests/golden/bench.csv
+
+        and names the rows that moved.
+        """
+        corpus = str(tmp_path / "corpus")
+        generators = [["random", "--seed", "7", "--count", "120"]]
+        generators += [["fig2", "--n", str(n)] for n in (10, 100, 300)]
+        generators += [["wide", "--k", str(k)] for k in (6, 7, 8)]
+        for argv in generators:
+            assert main(["gen"] + argv + ["--out", corpus]) == 0
+        capsys.readouterr()
+        assert main(["bench", corpus]) == 0
+        got = capsys.readouterr().out
+        want = GOLDEN_BENCH.read_bytes().decode("utf-8")
+        rows = itertools.zip_longest(want.splitlines(), got.splitlines(), fillvalue="<none>")
+        differ = [(line, old, new) for line, (old, new) in enumerate(rows, 1) if old != new]
+        assert got == want, "first rows that differ (line, golden, now): %r" % differ[:5]
 
 
 class TestGen:

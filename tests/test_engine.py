@@ -214,6 +214,11 @@ def safe_refined_runs(monkeypatch, count):
     return out
 
 
+def waiting(reached):
+    """The states on the waitlist, in no particular order."""
+    return [state for _, _, state in reached.waitlist]
+
+
 def drain(reached):
     """Pop the whole waitlist, in order."""
     popped = []
@@ -235,21 +240,23 @@ class TestLazyRestart:
         reached, hit = reach(cfa, Precision(), 100_000)
         assert hit
         states = list(reached.states)
-        pending = set(reached.waiting())
+        pending = set(waiting(reached))
+        dropped = {s for s in states if s.open and s not in pending}
         error = reached.error_state
         rng = random.Random(index)
         changed = set(rng.sample(cfa.locations, rng.randint(0, len(cfa.locations) // 3)))
         removed = [s for s in states if s is error or chain_locations(s) & changed]
         kept = [s for s in states if s not in removed]
         reopened = {s.parent for s in removed}
-        requeued = [s for s in kept if s in pending or s.dropped or s in reopened]
+        requeued = [s for s in kept if s in pending or s in dropped or s in reopened]
 
         reached.prune(changed)
 
         assert reached.states == kept
         assert reached.error_state is None
-        assert {id(s) for s in reached.waiting()} == {id(s) for s in requeued}
+        assert {id(s) for s in waiting(reached)} == {id(s) for s in requeued}
         assert len(reached.waitlist) == len(requeued)
+        assert all(s.open for s in requeued)
         assert error.parent in requeued or error.parent in removed
         assert all(indexed(reached, s) for s in kept)
         assert not any(indexed(reached, s) for s in removed)
@@ -267,14 +274,14 @@ class TestLazyRestart:
         reached, hit = reach(cfa, Precision(), 1000)
         assert hit
         error = reached.error_state
-        dropped = [s for s in reached.states if s.dropped]
-        pending = [s for s in reached.waiting() if s is not error]
+        pending = [s for s in waiting(reached) if s is not error]
+        dropped = [s for s in reached.states if s.open and s not in pending and s is not error]
         assert dropped and pending
         reached.prune(set())
-        waiting = {id(s) for s in reached.waiting()}
-        assert id(error.parent) in waiting
-        assert {id(s) for s in dropped + pending} <= waiting
-        requeued = [s for s in reached.states if id(s) in waiting]
+        queued = {id(s) for s in waiting(reached)}
+        assert id(error.parent) in queued
+        assert {id(s) for s in dropped + pending} <= queued
+        requeued = [s for s in reached.states if id(s) in queued]
         popped = drain(reached)
         assert popped == deepest_first(reached, requeued)
         ranks = [reached.rank[s.loc] for s in popped]
@@ -374,10 +381,42 @@ class TestLiveRangeWidening:
         assert fewer
 
 
+def error_distance(cfa):
+    """Edges on a shortest path from the initial to the error location over
+    the edges whose ``sp`` from TOP is not BOTTOM, or None if it has none."""
+    distance = {cfa.initial: 0}
+    frontier = [cfa.initial]
+    while frontier and cfa.error not in distance:
+        successors = []
+        for loc in frontier:
+            for op, dst in cfa.out_edges(loc):
+                if dst not in distance and sp(op, TOP) is not BOTTOM:
+                    distance[dst] = distance[loc] + 1
+                    successors.append(dst)
+        frontier = successors
+    return distance.get(cfa.error)
+
+
 class TestExplorationOrder:
     """``reach`` is breadth-first from the root and deepest-first once it
     resumes after a refinement.  The counters are deterministic; these pin
     what that order gives."""
+
+    def test_first_exploration_is_breadth_first(self):
+        # under the empty precision every state is TOP at its location, so
+        # the first counterexample is a shortest path to the error location
+        sources = [random_program(7, index) for index in range(120)]
+        sources += [fig2_program(10), wide_flags_program(6)]
+        hits = 0
+        for source in sources:
+            cfa = load_cfa(source)
+            reached, hit = reach(cfa, Precision(), 100_000)
+            distance = error_distance(cfa)
+            assert hit == (distance is not None), source
+            if hit:
+                hits += 1
+                assert len(extract_error_path(reached)) == distance, source
+        assert hits == 121
 
     @pytest.mark.parametrize(
         "k, states, refinements", [(6, 478, 6), (7, 896, 7), (8, 1703, 8), (10, 6404, 10)]

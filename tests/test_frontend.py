@@ -205,6 +205,11 @@ class TestParse:
             ("var x;\nassume((x < 1) == 1);", "2:16: expected ')', found '=='"),
             ("var x; assume((x == y));", "1:21: undeclared variable 'y'"),
             pytest.param(
+                "var x; x := \u0663\u0663; if (x == 33) { error; }",
+                "1:13: unexpected character '\u0663'",
+                id="non-ascii-digits",
+            ),
+            pytest.param(
                 "var x; assume((x == %s));" % ("9" * (INT_DIGITS + 1)),
                 "1:21: integer literal too long",
                 marks=needs_digit_limit,
