@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path as FsPath
 from typing import Callable, Optional
 
@@ -83,7 +81,7 @@ def _stats_json(verdict: Verdict, heuristic: Heuristic, stats: RunStats) -> dict
     return {
         "verdict": verdict.render(),
         "heuristic": heuristic.value,
-        **dataclasses.asdict(stats),
+        **{name: getattr(stats, name) for name in RunStats.__slots__},
         "witness": None if witness is None else render_path(witness).splitlines(),
     }
 
@@ -180,6 +178,10 @@ def run_bench(
     tasks = sorted(p for p in FsPath(directory).glob("*.imp") if p.is_file())
     pairs = [(t, h) for t in tasks for h in heuristics]
     if jobs > 1:
+        # only a parallel run needs the pool, so plain ``verify`` never
+        # imports it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(
                 pool.map(lambda p: _bench_row(p[0], p[1], limits, timeout), pairs)
@@ -319,11 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    default = Limits()
     limits = _Parser(add_help=False)
     limits.add_argument(
-        "--max-refinements", type=_int_at_least(0), default=Limits.max_refinements
+        "--max-refinements", type=_int_at_least(0), default=default.max_refinements
     )
-    limits.add_argument("--max-states", type=_int_at_least(1), default=Limits.max_states)
+    limits.add_argument("--max-states", type=_int_at_least(1), default=default.max_states)
     limits.add_argument("--timeout", type=_timeout_seconds, default=None, metavar="SECONDS")
 
     verify = sub.add_parser("verify", parents=[limits], help="verify a single .imp file")

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Callable, Collection, Mapping, Optional
 
 from .frontend import ControlFlowAutomaton
+from .lang import Frozen, set_field
 from .paths import LimitReached, Path, check_deadline, extract_sliced_prefixes
 from .refinement import (
     Heuristic,
@@ -48,13 +48,14 @@ from .values import BOTTOM, TOP, Assignment, restrict, sp
 log = logging.getLogger("prefixselect.engine")
 
 
-@dataclass(frozen=True)
-class Limits:
-    max_refinements: int = 200
-    max_states: int = 1_000_000
+class Limits(Frozen):
+    __slots__ = ("max_refinements", "max_states")
+
+    def __init__(self, max_refinements: int = 200, max_states: int = 1_000_000):
+        set_field(self, "max_refinements", max_refinements)
+        set_field(self, "max_states", max_states)
 
 
-@dataclass
 class RunStats:
     """Counters of one ``cegar`` run.
 
@@ -62,26 +63,45 @@ class RunStats:
     refinement leaves valid are not created again, and are counted once more
     in ``states_reused`` at every restart that keeps them.
     ``precision_size`` is the number of tracked (location, variable) pairs
-    when the run ends.
+    when the run ends.  ``__slots__`` lists the counters in the order
+    ``verify --format json`` prints them.
     """
 
-    refinements: int = 0
-    prefixes_total: int = 0
-    interpolation_calls: int = 0
-    states_created: int = 0
-    coverage_hits: int = 0
-    states_reused: int = 0
-    precision_size: int = 0
-    chosen_prefix_indices: list[Optional[int]] = field(default_factory=list)
-    chosen_prefix_scores: list[Optional[int]] = field(default_factory=list)
-    duration_ms: float = 0.0
+    __slots__ = (
+        "refinements",
+        "prefixes_total",
+        "interpolation_calls",
+        "states_created",
+        "coverage_hits",
+        "states_reused",
+        "precision_size",
+        "chosen_prefix_indices",
+        "chosen_prefix_scores",
+        "duration_ms",
+    )
+
+    def __init__(self):
+        self.refinements = 0
+        self.prefixes_total = 0
+        self.interpolation_calls = 0
+        self.states_created = 0
+        self.coverage_hits = 0
+        self.states_reused = 0
+        self.precision_size = 0
+        self.chosen_prefix_indices: list[Optional[int]] = []
+        self.chosen_prefix_scores: list[Optional[int]] = []
+        self.duration_ms = 0.0
 
 
-@dataclass
-class Verdict:
-    kind: str  # "TRUE" | "FALSE" | "UNKNOWN"
-    witness: Optional[Path] = None
-    reason: Optional[str] = None
+class Verdict(Frozen):
+    __slots__ = ("kind", "witness", "reason")
+
+    def __init__(
+        self, kind: str, witness: Optional[Path] = None, reason: Optional[str] = None
+    ):
+        set_field(self, "kind", kind)  # "TRUE" | "FALSE" | "UNKNOWN"
+        set_field(self, "witness", witness)
+        set_field(self, "reason", reason)
 
     def render(self) -> str:
         if self.kind == "UNKNOWN":

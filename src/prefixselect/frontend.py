@@ -57,7 +57,6 @@ offset only when the error is raised.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import get_args
 
 from .lang import (
@@ -72,6 +71,7 @@ from .lang import (
     Comparison,
     EXPR_POWER,
     Expr,
+    Frozen,
     IntLit,
     Negate,
     NOOP,
@@ -82,6 +82,7 @@ from .lang import (
     Pred,
     VarRef,
     render_op,
+    set_field,
 )
 
 
@@ -105,24 +106,26 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class ControlFlowAutomaton:
-    locations: tuple[int, ...]
-    initial: int
-    error: int | None
-    edges: tuple[tuple[int, Operation, int], ...]
-    variables: tuple[str, ...]
-    _adjacency: dict[int, tuple[tuple[Operation, int], ...]] = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
-    )
+class ControlFlowAutomaton(Frozen):
+    __slots__ = ("locations", "initial", "error", "edges", "variables", "_adjacency")
 
-    def __post_init__(self):
-        adj: dict[int, list[tuple[Operation, int]]] = {l: [] for l in self.locations}
-        for src, op, dst in self.edges:
+    def __init__(
+        self,
+        locations: tuple[int, ...],
+        initial: int,
+        error: int | None,
+        edges: tuple[tuple[int, Operation, int], ...],
+        variables: tuple[str, ...],
+    ):
+        set_field(self, "locations", locations)
+        set_field(self, "initial", initial)
+        set_field(self, "error", error)
+        set_field(self, "edges", edges)
+        set_field(self, "variables", variables)
+        adj: dict[int, list[tuple[Operation, int]]] = {l: [] for l in locations}
+        for src, op, dst in edges:
             adj[src].append((op, dst))
-        object.__setattr__(
-            self, "_adjacency", {l: tuple(v) for l, v in adj.items()}
-        )
+        set_field(self, "_adjacency", {l: tuple(v) for l, v in adj.items()})
 
     def out_edges(self, loc: int) -> tuple[tuple[Operation, int], ...]:
         return self._adjacency[loc]

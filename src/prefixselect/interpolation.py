@@ -21,10 +21,9 @@ plain replay would compute; the engine itself is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lang import Operation, op_variables
+from .lang import Frozen, Operation, op_variables, set_field
 from .paths import Path, Suffix, SuffixReplay, check_deadline, sp_seq
 from .values import BOTTOM, TOP, AbstractAssignment, Assignment, implies
 
@@ -76,8 +75,7 @@ def interpolate(
     return Assignment(kept)
 
 
-@dataclass(frozen=True)
-class InterpolantSequence:
+class InterpolantSequence(Frozen):
     """Per-position interpolants for one path.
 
     ``entries[i]`` is (position, location, interpolant) for the cut after the
@@ -85,7 +83,10 @@ class InterpolantSequence:
     position rather than location because locations repeat on looping paths.
     """
 
-    entries: tuple[tuple[int, int, AbstractAssignment], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int, AbstractAssignment], ...]):
+        set_field(self, "entries", entries)
 
     def variables(self) -> set[str]:
         out: set[str] = set()

@@ -8,32 +8,86 @@ compare equal wherever paths are compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
+
+#: How ``__init__`` writes a field of a ``Frozen`` record.
+set_field = object.__setattr__
+
+
+class Frozen:
+    """Immutable record: the base of every tree node and operation, and of
+    the package's other immutable records.
+
+    The fields are the names in ``__slots__`` that do not start with ``_``; a
+    ``_`` slot holds data derived from the fields.  ``__init__`` sets each
+    slot with ``set_field``, and any later write or delete raises
+    AttributeError.  Two records are equal when they have the same type and
+    equal fields, and a record hashes as the tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(["%s=%r" % item for item in zip(self._fields, self._values())])
+        return "%s(%s)" % (type(self).__name__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__, which
+        # rejects them; rebuild through __init__ instead
+        return type(self), self._values()
+
 
 # --- expressions ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class VarRef:
-    name: str
+class VarRef(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str  # one of + - * / %
-    left: "Expr"
-    right: "Expr"
+class BinaryOp(Frozen):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        set_field(self, "op", op)  # one of + - * / %
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Negate:
-    operand: "Expr"
+class Negate(Frozen):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        set_field(self, "operand", operand)
 
 
 Expr = Union[IntLit, VarRef, BinaryOp, Negate]
@@ -42,33 +96,43 @@ Expr = Union[IntLit, VarRef, BinaryOp, Negate]
 # --- predicates -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class BoolLit(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Comparison:
-    op: str  # one of == != < <= > >=
-    left: Expr
-    right: Expr
+class Comparison(Frozen):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        set_field(self, "op", op)  # one of == != < <= > >=
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Pred"
-    right: "Pred"
+class And(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Pred, right: Pred):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Pred"
-    right: "Pred"
+class Or(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Pred, right: Pred):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Pred"
+class Not(Frozen):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Pred):
+        set_field(self, "operand", operand)
 
 
 Pred = Union[BoolLit, Comparison, And, Or, Not]
@@ -80,20 +144,26 @@ FALSE = BoolLit(False)
 # --- operations -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assign:
-    var: str
-    expr: Expr
+class Assign(Frozen):
+    __slots__ = ("var", "expr")
+
+    def __init__(self, var: str, expr: Expr):
+        set_field(self, "var", var)
+        set_field(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class AssignNondet:
-    var: str
+class AssignNondet(Frozen):
+    __slots__ = ("var",)
+
+    def __init__(self, var: str):
+        set_field(self, "var", var)
 
 
-@dataclass(frozen=True)
-class Assume:
-    pred: Pred
+class Assume(Frozen):
+    __slots__ = ("pred",)
+
+    def __init__(self, pred: Pred):
+        set_field(self, "pred", pred)
 
 
 Operation = Union[Assign, AssignNondet, Assume]

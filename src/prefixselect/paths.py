@@ -14,10 +14,9 @@ inductive interpolation, which replays each suffix many times.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .lang import NOOP, Assume, Operation, op_variables, render_op
+from .lang import NOOP, Assume, Frozen, Operation, op_variables, render_op, set_field
 from .values import BOTTOM, TOP, AbstractAssignment, Assignment, LimitReached, sp
 
 
@@ -35,9 +34,11 @@ def check_deadline(deadline: Optional[float], step: int = 0) -> None:
 Step = tuple[Operation, int]
 
 
-@dataclass(frozen=True)
-class Path:
-    steps: tuple[Step, ...]
+class Path(Frozen):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[Step, ...]):
+        set_field(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)

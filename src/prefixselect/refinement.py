@@ -18,7 +18,6 @@ by classical liveness).  Interpolants and prefix selection do not change.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .frontend import ControlFlowAutomaton
@@ -28,9 +27,11 @@ from .lang import (
     Assume,
     BinaryOp,
     Comparison,
+    Frozen,
     IntLit,
     Pred,
     VarRef,
+    set_field,
     tree_variables,
 )
 from .interpolation import InterpolantSequence, interpolant_sequence
@@ -59,11 +60,13 @@ SCORE_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class Precision:
+class Precision(Frozen):
     """Per-location sets of tracked variables; empty everywhere by default."""
 
-    tracked: Mapping[int, frozenset[str]] = field(default_factory=dict)
+    __slots__ = ("tracked",)
+
+    def __init__(self, tracked: Optional[Mapping[int, frozenset[str]]] = None):
+        set_field(self, "tracked", {} if tracked is None else tracked)
 
     def at(self, loc: int) -> frozenset[str]:
         return self.tracked.get(loc, frozenset())
@@ -346,13 +349,24 @@ def choose_sliced_prefix(
 # --- refinement procedures ----------------------------------------------------
 
 
-@dataclass
-class RefinementResult:
-    precision: Precision
-    prefix_count: int
-    chosen_index: Optional[int]
-    chosen_score: Optional[int]
-    interpolation_calls: int
+class RefinementResult(Frozen):
+    __slots__ = (
+        "precision", "prefix_count", "chosen_index", "chosen_score", "interpolation_calls"
+    )
+
+    def __init__(
+        self,
+        precision: Precision,
+        prefix_count: int,
+        chosen_index: Optional[int],
+        chosen_score: Optional[int],
+        interpolation_calls: int,
+    ):
+        set_field(self, "precision", precision)
+        set_field(self, "prefix_count", prefix_count)
+        set_field(self, "chosen_index", chosen_index)
+        set_field(self, "chosen_score", chosen_score)
+        set_field(self, "interpolation_calls", interpolation_calls)
 
 
 def _precision_of(seq: InterpolantSequence) -> Precision:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path as FsPath
 
@@ -146,7 +148,8 @@ class TestVerify:
         code = main(["verify", str(safe_file), "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert set(data) == {
+        # the keys in the order they are printed
+        assert list(data) == [
             "verdict",
             "heuristic",
             "refinements",
@@ -160,7 +163,7 @@ class TestVerify:
             "chosen_prefix_scores",
             "duration_ms",
             "witness",
-        }
+        ]
         assert data["verdict"] == "TRUE"
         assert data["heuristic"] == "domain-type"
         assert data["witness"] is None
@@ -603,3 +606,28 @@ class TestGen:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err.startswith("error:") and not captured.out
+
+
+class TestImportFootprint:
+    """``verify`` checks one program per process, so what importing the
+    package loads is part of every task's time."""
+
+    #: stdlib modules the package must not load at import: ``dataclasses``
+    #: (which loads ``inspect``) and the thread pool of ``bench --jobs``
+    UNWANTED = {"dataclasses", "inspect", "concurrent.futures"}
+
+    @pytest.mark.parametrize("module", ["prefixselect", "prefixselect.cli"])
+    def test_import_loads_no_unwanted_module(self, module):
+        # -S: no site module, so every module loaded is the import's doing
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import %s; "
+            "print(' '.join(sys.modules))" % module
+        )
+        root = str(FsPath(cli.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, root],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        loaded = set(proc.stdout.split())
+        assert module in loaded
+        assert sorted(loaded & self.UNWANTED) == []

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,7 +16,7 @@ from conftest import (
 )
 from test_values import VARS, nonbottom
 from prefixselect.frontend import MAX_DEPTH, ParseError, cfa_to_dot, load_cfa
-from prefixselect.engine import cegar
+from prefixselect.engine import Limits, cegar
 from prefixselect.generators import fig2_program, random_program
 from prefixselect.lang import (
     And,
@@ -28,9 +31,11 @@ from prefixselect.lang import (
     NOOP,
     Not,
     Or,
+    TRUE,
     VarRef,
     render_tree,
 )
+from prefixselect.paths import Path
 from prefixselect.refinement import Heuristic
 from prefixselect.values import Assignment, evaluate
 
@@ -589,3 +594,55 @@ class TestDot:
 
     def test_boollit_rendering(self):
         assert first_op("var x; assume(true);") == Assume(BoolLit(True))
+
+
+class TestRecords:
+    """Trees, operations and the other immutable records compare by type and
+    fields, hash consistently with that, and reject writes."""
+
+    def test_equality_is_per_type(self):
+        assert And(X1, X2) != Or(X1, X2)
+        assert IntLit(1) != BoolLit(True)
+        assert Assign("x", IntLit(1)) != AssignNondet("x")
+        assert And(X1, X2) == And(X1, Comparison("==", VarRef("x"), IntLit(2)))
+
+    def test_equal_trees_hash_equal(self):
+        source = "var x; assume(x + 1 > 2 && !(x == 3));"
+        a, b = first_op(source), first_op(source)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, NOOP}) == 2
+        assert NOOP == Assume(TRUE) and hash(NOOP) == hash(Assume(BoolLit(True)))
+
+    def test_repr_names_type_and_fields(self):
+        assert repr(Assign("x", Negate(IntLit(1)))) == (
+            "Assign(var='x', expr=Negate(operand=IntLit(value=1)))"
+        )
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (BinaryOp("+", VarRef("x"), IntLit(1)), "op"),
+            (Not(TRUE), "operand"),
+            (Assume(X1), "pred"),
+            (AssignNondet("x"), "var"),
+            (Path(((NOOP, 1),)), "steps"),
+            (Limits(), "max_states"),
+        ],
+    )
+    def test_writes_are_rejected(self, record, field):
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.other = 1
+        assert getattr(record, field) == before
+
+    def test_copy_and_pickle_rebuild_equal_records(self):
+        cfa = load_cfa(fig2_program(3))
+        for record in (first_op("var x; x := -(x * 2);"), cfa, Limits(1, 2)):
+            for clone in (copy.copy(record), copy.deepcopy(record),
+                          pickle.loads(pickle.dumps(record))):
+                assert clone == record and type(clone) is type(record)
+        assert pickle.loads(pickle.dumps(cfa)).out_edges(0) == cfa.out_edges(0)
