@@ -5,14 +5,19 @@ a file that is not UTF-8, an integer literal too long to convert, and a
 statement whose blocks plus formula height pass ``frontend.MAX_DEPTH``;
 that bound leaves every accepted program room on the stack, so input never
 exits 4 for its depth), 4 internal error (the checker crashed; there is no
-verdict).  ``bench`` reports a task with an input error
-as ``UNKNOWN(error)`` and a crashed run as ``UNKNOWN(internal-error)``.  A
+verdict).  Exit 4 covers a crash in any subcommand: ``main`` prints the
+traceback, then an ``internal error:`` line, to stderr.  ``bench`` reports a
+task with an input error as ``UNKNOWN(error)`` and a crashed run as
+``UNKNOWN(internal-error)``, writes a ``warning: task NAME failed:`` line to
+stderr, and goes on.  A
 usage error (unknown option or choice, a ``--timeout`` that is not a number
 of seconds in (0, 1e6], a ``--jobs``, ``--max-states``, ``gen fig2 --n``,
 ``gen wide --k`` or ``gen random --count`` below 1, a negative
 ``--max-refinements``, missing argument) exits 3 for every subcommand, never
-2; so does an unknown or repeated name in ``bench --heuristics``.  ``verify --format json`` prints the
-``RunStats`` fields plus ``verdict``, ``heuristic`` and ``witness``.
+2; so does an unknown or repeated name in ``bench --heuristics``.  ``verify``
+prints one ``refinement N:`` line per refinement; ``verify --format json``
+prints the ``RunStats`` fields, ``rounds`` among them, plus ``verdict``,
+``heuristic`` and ``witness``.
 
 ``--timeout`` bounds the wall time of each CEGAR run, not counting parsing.
 The run checks it in process, before each state it explores, before each
@@ -33,8 +38,6 @@ import argparse
 import csv
 import io
 import json
-import logging
-import os
 import sys
 from pathlib import Path as FsPath
 from typing import Callable, Optional
@@ -50,17 +53,6 @@ from .paths import render_path
 from .refinement import Heuristic
 
 HEURISTIC_NAMES = [h.value for h in Heuristic]
-
-log = logging.getLogger("prefixselect.cli")
-
-
-def _configure_logging() -> None:
-    level_name = os.environ.get("PREFIXSELECT_LOG", "WARNING").upper()
-    logging.basicConfig(
-        level=getattr(logging, level_name, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
 
 #: What ``_run_file`` raises on a file it cannot read or parse.
 INPUT_ERRORS = (OSError, UnicodeDecodeError, ParseError)
@@ -87,7 +79,9 @@ def _stats_json(verdict: Verdict, heuristic: Heuristic, stats: RunStats) -> dict
 
 
 def _internal_error(exc: Exception) -> int:
-    log.debug("verification failed", exc_info=True)
+    import traceback  # only a crash needs it
+
+    traceback.print_exception(type(exc), exc, exc.__traceback__)
     print("internal error: %s" % exc, file=sys.stderr)
     return 4
 
@@ -102,12 +96,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except Exception as exc:
-        return _internal_error(exc)
-    try:
-        verdict, stats = cegar(cfa, heuristic, limits, timeout=args.timeout)
-    except Exception as exc:
-        return _internal_error(exc)
+    verdict, stats = cegar(cfa, heuristic, limits, timeout=args.timeout)
     if args.format == "json":
         print(json.dumps(_stats_json(verdict, heuristic, stats)))
     else:
@@ -120,9 +109,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("states reused: %d" % stats.states_reused)
         print("precision size: %d" % stats.precision_size)
         print("duration: %.1f ms" % stats.duration_ms)
-        if stats.refinements:
-            print("chosen prefix indices: %s" % stats.chosen_prefix_indices)
-            print("chosen prefix scores: %s" % stats.chosen_prefix_scores)
+        for number, r in enumerate(stats.rounds, 1):
+            print(
+                "refinement %d: %d prefixes, chose %s (score %s), precision size %d"
+                % (number, r["prefixes"], r["chosen_index"], r["chosen_score"],
+                   r["precision_size"])
+            )
         if verdict.witness is not None:
             print("witness:")
             print(render_path(verdict.witness))
@@ -152,7 +144,8 @@ def _bench_row(
     try:
         verdict, stats = _run_file(str(task), heuristic, limits, timeout)
     except Exception as exc:
-        log.warning("task %s failed: %s", task.name, exc)
+        # one write, so that threads of ``--jobs`` never split the line
+        sys.stderr.write("warning: task %s failed: %s\n" % (task.name, exc))
         reason = "error" if isinstance(exc, INPUT_ERRORS) else "internal-error"
         verdict, stats = Verdict("UNKNOWN", reason=reason), RunStats()
     return {
@@ -375,9 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _configure_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        return _internal_error(exc)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ the verdict does not depend on it.
 
 from __future__ import annotations
 
-import logging
 import time
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
@@ -45,8 +44,6 @@ from .refinement import (
 )
 from .values import BOTTOM, TOP, Assignment, restrict, sp
 
-log = logging.getLogger("prefixselect.engine")
-
 
 class Limits(Frozen):
     __slots__ = ("max_refinements", "max_states")
@@ -63,8 +60,14 @@ class RunStats:
     refinement leaves valid are not created again, and are counted once more
     in ``states_reused`` at every restart that keeps them.
     ``precision_size`` is the number of tracked (location, variable) pairs
-    when the run ends.  ``__slots__`` lists the counters in the order
-    ``verify --format json`` prints them.
+    when the run ends.  ``rounds`` holds one dict per finished refinement:
+    the number of sliced prefixes of the refuted path (``prefixes``), the
+    index and score of the prefix the heuristic chose (``chosen_index``,
+    ``chosen_score``; ``classic`` counts no prefixes and chooses none, so
+    they are None), and the precision size after the refinement
+    (``precision_size``).
+    ``__slots__`` lists the counters in the order ``verify --format json``
+    prints them.
     """
 
     __slots__ = (
@@ -75,8 +78,7 @@ class RunStats:
         "coverage_hits",
         "states_reused",
         "precision_size",
-        "chosen_prefix_indices",
-        "chosen_prefix_scores",
+        "rounds",
         "duration_ms",
     )
 
@@ -88,8 +90,7 @@ class RunStats:
         self.coverage_hits = 0
         self.states_reused = 0
         self.precision_size = 0
-        self.chosen_prefix_indices: list[Optional[int]] = []
-        self.chosen_prefix_scores: list[Optional[int]] = []
+        self.rounds: list[dict[str, Optional[int]]] = []
         self.duration_ms = 0.0
 
 
@@ -372,15 +373,13 @@ def cegar(
             stats.refinements += 1
             stats.prefixes_total += result.prefix_count
             stats.interpolation_calls += result.interpolation_calls
-            stats.chosen_prefix_indices.append(result.chosen_index)
-            stats.chosen_prefix_scores.append(result.chosen_score)
-            log.debug(
-                "refinement %d: %d prefixes, chose %s (score %s), precision size %d",
-                stats.refinements,
-                result.prefix_count,
-                result.chosen_index,
-                result.chosen_score,
-                precision.total_size(),
+            stats.rounds.append(
+                {
+                    "prefixes": result.prefix_count,
+                    "chosen_index": result.chosen_index,
+                    "chosen_score": result.chosen_score,
+                    "precision_size": precision.total_size(),
+                }
             )
     except LimitReached as exc:
         verdict = Verdict("UNKNOWN", reason=exc.reason)

@@ -79,7 +79,7 @@ class TestVerify:
         assert code == 0
         assert "states reused: " in out
         assert "precision size: " in out
-        assert "chosen prefix indices: [" in out  # the run refines once
+        assert "refinement 1: " in out  # the run refines once
         assert out.rstrip().splitlines()[-1] == "RESULT: TRUE"
 
     def test_unsafe_exit_one_with_witness(self, unsafe_file, capsys):
@@ -159,8 +159,7 @@ class TestVerify:
             "coverage_hits",
             "states_reused",
             "precision_size",
-            "chosen_prefix_indices",
-            "chosen_prefix_scores",
+            "rounds",
             "duration_ms",
             "witness",
         ]
@@ -170,6 +169,7 @@ class TestVerify:
         assert isinstance(data["duration_ms"], float)
         assert data["refinements"] == 1 and data["states_reused"] > 0
         assert data["precision_size"] > 0
+        assert [r["precision_size"] for r in data["rounds"]] == [data["precision_size"]]
 
     def test_json_witness_lines(self, unsafe_file, capsys):
         main(["verify", str(unsafe_file), "--format", "json"])
@@ -303,6 +303,22 @@ class TestVerify:
         assert code == 2
         assert "RESULT: UNKNOWN(refinement-limit)" in capsys.readouterr().out
 
+    def test_refinement_limit_keeps_rounds(self, tmp_path, capsys):
+        # classic needs two refinements on the flag/loop program
+        p = tmp_path / "fig2.imp"
+        p.write_text(fig2_program(10), encoding="utf-8")
+        argv = ["verify", str(p), "--heuristic", "classic", "--max-refinements", "1"]
+        code = main(argv + ["--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert data["verdict"] == "UNKNOWN(refinement-limit)"
+        assert data["refinements"] == len(data["rounds"]) == 1
+        assert data["rounds"][0]["precision_size"] == data["precision_size"]
+        main(argv)
+        out = capsys.readouterr().out
+        assert "refinement 1: 0 prefixes, chose None (score None)" in out
+        assert "refinement 2:" not in out
+
     @pytest.mark.parametrize("extra", [[], ["--timeout", "20"]])
     @pytest.mark.parametrize("crashed", ["cegar", "load_cfa", "cfa_to_dot"])
     def test_crash_exit_four(self, safe_file, tmp_path, capsys, monkeypatch, crashed, extra):
@@ -314,8 +330,33 @@ class TestVerify:
         code = main(["verify", str(safe_file)] + emit + extra)
         captured = capsys.readouterr()
         assert code == 4
-        assert "internal error: maximum recursion depth exceeded" in captured.err
+        assert "Traceback (most recent call last)" in captured.err
+        assert captured.err.endswith("\ninternal error: maximum recursion depth exceeded\n")
         assert "RESULT" not in captured.out
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_crash_after_run_exit_four(self, unsafe_file, capsys, monkeypatch, fmt):
+        # the witness is rendered after the run, outside any input-error handler
+        def crash(path):
+            raise ValueError("cannot render")
+
+        monkeypatch.setattr(cli, "render_path", crash)
+        code = main(["verify", str(unsafe_file), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.endswith("\ninternal error: cannot render\n")
+        assert "RESULT" not in captured.out
+
+    def test_environment_sets_no_log_level(self, safe_file, monkeypatch):
+        # a fresh process, as no handler is installed yet on its root logger
+        monkeypatch.setenv("PREFIXSELECT_LOG", "basic_format")
+        monkeypatch.setenv("PYTHONPATH", str(FsPath(cli.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "prefixselect.cli", "verify", str(safe_file)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith("RESULT: TRUE\n")
 
 
 class TestUsageErrors:
@@ -481,8 +522,9 @@ class TestBench:
             texts.append("\n".join(l for l in lines if not l.startswith("c_slow.imp,")))
         assert texts[0].encode() == texts[1].encode()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("timeout", [None, 20.0])
-    def test_crash_is_internal_error(self, bench_dir, monkeypatch, timeout):
+    def test_crash_is_internal_error(self, bench_dir, monkeypatch, capsys, timeout, jobs):
         def crash(*args, **kwargs):
             raise RefinementProgressError("no progress")
 
@@ -496,10 +538,16 @@ class TestBench:
             )
             input_errors += 1
         monkeypatch.setattr(cli, "cegar", crash)
-        rows = run_bench(bench_dir, [Heuristic.CLASSIC], Limits(), timeout=timeout)
+        rows = run_bench(bench_dir, [Heuristic.CLASSIC], Limits(), timeout, jobs)
         assert [r["verdict"] for r in rows] == ["UNKNOWN(internal-error)"] * 2 + [
             "UNKNOWN(error)"
         ] * input_errors
+        # one whole line per failed task, in any order under jobs 2
+        lines = capsys.readouterr().err.splitlines()
+        assert sorted(line.partition(" failed: ")[0] for line in lines) == sorted(
+            "warning: task %s" % r["task"] for r in rows
+        )
+        assert "warning: task a_safe.imp failed: no progress" in lines
 
     def test_every_run_in_process(self, bench_dir, monkeypatch, capsys):
         pids = []
@@ -613,8 +661,17 @@ class TestImportFootprint:
     package loads is part of every task's time."""
 
     #: stdlib modules the package must not load at import: ``dataclasses``
-    #: (which loads ``inspect``) and the thread pool of ``bench --jobs``
-    UNWANTED = {"dataclasses", "inspect", "concurrent.futures"}
+    #: (which loads ``inspect``), the thread pool of ``bench --jobs``,
+    #: ``logging`` (which loads ``threading``) and ``traceback``, which only
+    #: a crash needs
+    UNWANTED = {
+        "dataclasses",
+        "inspect",
+        "concurrent.futures",
+        "logging",
+        "threading",
+        "traceback",
+    }
 
     @pytest.mark.parametrize("module", ["prefixselect", "prefixselect.cli"])
     def test_import_loads_no_unwanted_module(self, module):

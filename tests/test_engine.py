@@ -9,6 +9,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import CORPUS_SEED
 from prefixselect import engine
 from prefixselect.engine import (
     Limits,
@@ -506,11 +507,44 @@ class TestCegar:
         v1, s1 = cegar(cfa, Heuristic.DOMAIN_TYPE)
         v2, s2 = cegar(cfa, Heuristic.DOMAIN_TYPE)
         assert (v1.kind, v1.witness) == (v2.kind, v2.witness)
-        assert (s1.refinements, s1.states_created, s1.chosen_prefix_indices) == (
+        assert (s1.refinements, s1.states_created, s1.rounds) == (
             s2.refinements,
             s2.states_created,
-            s2.chosen_prefix_indices,
+            s2.rounds,
         )
+
+    @pytest.mark.parametrize("n", [10, 100, 300])
+    def test_rounds_flag_loop_family(self, n):
+        cfa = load_cfa(fig2_program(n))
+        _, stats = cegar(cfa, Heuristic.DOMAIN_TYPE)
+        assert stats.rounds == [
+            {"prefixes": 2, "chosen_index": 1, "chosen_score": 1, "precision_size": 5}
+        ]
+        # the shortest prefix refutes with the loop counter first
+        _, stats = cegar(cfa, Heuristic.PREFIX_SHORTEST)
+        assert [r["chosen_score"] for r in stats.rounds] == [100, 1]
+
+    @pytest.mark.parametrize("heuristic", list(Heuristic))
+    def test_rounds_add_up(self, heuristic):
+        # the first 26 programs of the corpus, which ``spurious_sample`` harvests
+        refined = 0
+        for index in range(26):
+            results = []
+            _, stats = cegar(
+                load_cfa(random_program(CORPUS_SEED, index)),
+                heuristic,
+                Limits(200, 100_000),
+                on_refinement=lambda path, result: results.append(result),
+            )
+            assert len(stats.rounds) == stats.refinements == len(results)
+            assert sum(r["prefixes"] for r in stats.rounds) == stats.prefixes_total
+            assert [(r["chosen_index"], r["chosen_score"]) for r in stats.rounds] == [
+                (result.chosen_index, result.chosen_score) for result in results
+            ]
+            if stats.rounds:
+                assert stats.rounds[-1]["precision_size"] == stats.precision_size
+                refined += 1
+        assert refined
 
     @pytest.mark.parametrize("heuristic", list(Heuristic))
     @pytest.mark.parametrize(
