@@ -12,9 +12,9 @@ task with an input error as ``UNKNOWN(error)`` and a crashed run as
 stderr, and goes on.  A
 usage error (unknown option or choice, a ``--timeout`` that is not a number
 of seconds in (0, 1e6], a ``--jobs``, ``--max-states``, ``gen fig2 --n``,
-``gen wide --k`` or ``gen random --count`` below 1, a negative
-``--max-refinements``, missing argument) exits 3 for every subcommand, never
-2; so does an unknown or repeated name in ``bench --heuristics``.  ``verify``
+``gen wide --k``, ``gen checks --n`` or ``gen random --count`` below 1, a
+negative ``--max-refinements``, missing argument) exits 3 for every
+subcommand, never 2; so does an unknown or repeated name in ``bench --heuristics``.  ``verify``
 prints one ``refinement N:`` line per refinement; ``verify --format json``
 prints the ``RunStats`` fields, ``rounds`` among them, plus ``verdict``,
 ``heuristic`` and ``witness``.
@@ -45,6 +45,7 @@ from typing import Callable, Optional
 from .engine import Limits, RunStats, Verdict, cegar
 from .frontend import ParseError, cfa_to_dot, load_cfa
 from .generators import (
+    generate_checks,
     generate_fig2_family,
     generate_random_programs,
     generate_wide_flags,
@@ -252,6 +253,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             paths = [generate_fig2_family(args.n, args.out)]
         elif args.generator == "wide":
             paths = [generate_wide_flags(args.k, args.out)]
+        elif args.generator == "checks":
+            paths = [generate_checks(args.n, args.out)]
         else:
             paths = generate_random_programs(args.seed, args.count, args.out)
     except OSError as exc:
@@ -358,6 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     wide = gen_sub.add_parser("wide", help="wide-flags family program")
     wide.add_argument("--k", type=_int_at_least(1), required=True)
     wide.add_argument("--out", required=True)
+
+    checks = gen_sub.add_parser("checks", help="checks family program")
+    checks.add_argument("--n", type=_int_at_least(1), required=True)
+    checks.add_argument("--out", required=True)
 
     rnd = gen_sub.add_parser("random", help="random program corpus")
     rnd.add_argument("--seed", type=int, required=True)

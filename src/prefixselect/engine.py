@@ -61,11 +61,12 @@ class RunStats:
     in ``states_reused`` at every restart that keeps them.
     ``precision_size`` is the number of tracked (location, variable) pairs
     when the run ends.  ``rounds`` holds one dict per finished refinement:
-    the number of sliced prefixes of the refuted path (``prefixes``), the
-    index and score of the prefix the heuristic chose (``chosen_index``,
-    ``chosen_score``; ``classic`` counts no prefixes and chooses none, so
-    they are None), and the precision size after the refinement
-    (``precision_size``).
+    the number of sliced prefixes of the refuted path (``prefixes``, under
+    every heuristic, ``classic`` too), the index and score of the prefix the
+    heuristic chose (``chosen_index``, ``chosen_score``; ``classic``
+    interpolates the whole path and chooses none, so they are None), and the
+    precision size after the refinement (``precision_size``).
+    ``prefixes_total`` sums the rounds' ``prefixes``.
     ``__slots__`` lists the counters in the order ``verify --format json``
     prints them.
     """
@@ -371,11 +372,11 @@ def cegar(
             reached.prune(changed)
             stats.states_reused += reached.size
             stats.refinements += 1
-            stats.prefixes_total += result.prefix_count
+            stats.prefixes_total += len(prefixes)
             stats.interpolation_calls += result.interpolation_calls
             stats.rounds.append(
                 {
-                    "prefixes": result.prefix_count,
+                    "prefixes": len(prefixes),
                     "chosen_index": result.chosen_index,
                     "chosen_score": result.chosen_score,
                     "precision_size": precision.total_size(),

@@ -1,13 +1,16 @@
-"""Program generators: the flag/loop family, the wide-flags family and a
-random corpus.
+"""Program generators: the flag/loop family, the wide-flags family, the
+checks family and a random corpus.
 
 The flag/loop programs pair a boolean guard with a counter loop so that the
 first abstract error path is infeasible for two independent reasons; they are
 safe for every loop bound.  The wide-flags programs set k flags in k
 nondeterministic diamonds and guard the error on each of them; they are safe
-for every k, and every flag ends up tracked.  The random generator emits
-small well-formed programs (bounded loops only) deterministically from a
-seed.
+for every k, and every flag ends up tracked.  The checks programs set n
+variables to nonzero constants and then guard the error on each being zero;
+they are safe for every n, and each of their n refinements refutes one
+check, whose contradiction reads a single variable of a long path.  The
+random generator emits small well-formed programs (bounded loops only)
+deterministically from a seed.
 """
 
 from __future__ import annotations
@@ -55,6 +58,19 @@ def wide_flags_program(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def checks_program(n: int) -> str:
+    """``xi := i + 1`` for each of n variables, then one guard ``xi == 0``
+    per variable before an error.  Safe for every n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    names = ["x%d" % i for i in range(n)]
+    lines = ["// checks family, n = %d" % n, "var %s;" % ", ".join(names)]
+    lines += ["%s := %d;" % (x, i + 1) for i, x in enumerate(names)]
+    for x in names:
+        lines += ["if (%s == 0) {" % x, "  error;", "}"]
+    return "\n".join(lines) + "\n"
+
+
 def _write_program(out_dir: str | FsPath, name: str, text: str) -> FsPath:
     out_dir = FsPath(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -69,6 +85,10 @@ def generate_fig2_family(n: int, out_dir: str | FsPath) -> FsPath:
 
 def generate_wide_flags(k: int, out_dir: str | FsPath) -> FsPath:
     return _write_program(out_dir, "wide_k%d.imp" % k, wide_flags_program(k))
+
+
+def generate_checks(n: int, out_dir: str | FsPath) -> FsPath:
+    return _write_program(out_dir, "checks_n%d.imp" % n, checks_program(n))
 
 
 class _ProgramWriter:

@@ -14,9 +14,15 @@ interpolant as an assignment and folds in the next operation.
 An interpolant sequence replays every suffix of its path many times: once for
 the contract check and once per elimination trial, at each cut.  Those
 replays share one memo per path (``paths.SuffixReplay``), and the variable set
-of each suffix is computed once, so a sequence costs time linear in the path
-length instead of quadratic.  The memo only answers the strongest post the
-plain replay would compute; the engine itself is unchanged.
+of each suffix is computed once.  A sequence then costs time linear in the
+path length only where the walks from successive cuts meet in the memo, as on
+the flag/loop family; where each walk carries bindings of its own to the end
+of the path, as on the checks family (``generators.checks_program``), it stays
+quadratic.  A prefix sliced to its contradiction's cone
+(``paths.slice_to_cone``) replays only the cone, since the walks jump over
+``NOOP``, so there the cost follows the cone's length, not the path's.  The
+memo only answers the strongest post the plain replay would compute; the
+engine itself is unchanged.
 """
 
 from __future__ import annotations
@@ -108,11 +114,12 @@ def interpolant_sequence(
     last operation).
 
     Every cut hands ``interpolate`` a view of the same ``SuffixReplay``, so
-    suffix replays are memoised per path and each suffix's variables are
-    computed once: the cost is linear in path length.  The black box is the
-    same (same shared-variable filter, same lexicographic elimination order),
-    hence the interpolants are the same as interpolating each cut on its own.
-    The memo is freed when this call returns.
+    suffix replays are memoised per path, jump over ``NOOP``, and each
+    suffix's variables are computed once: the cost is linear in path length
+    where the replays meet in the memo (see the module docstring).  The black
+    box is the same (same shared-variable filter, same lexicographic
+    elimination order), hence the interpolants are the same as interpolating
+    each cut on its own.  The memo is freed when this call returns.
 
     Raises LimitReached("timeout") once ``deadline`` passes: it is checked
     before each cut and along the replay's walks.

@@ -7,8 +7,14 @@ prefix feasible by replacing contradicting assumes with no-ops; each is a
 ``Path``, more abstract than the original but still infeasible.  A feasible
 path has none, so the sweep is also the feasibility test.
 
+``slice_to_cone`` goes one step further on a sliced prefix: it replaces with
+``NOOP`` every step its final contradiction does not depend on (path slicing,
+Jhala and Majumdar, PLDI 2005), keeping positions and locations.
+
 ``SuffixReplay`` memoises the strongest post of every suffix of one path, for
-inductive interpolation, which replays each suffix many times.
+inductive interpolation, which replays each suffix many times.  Since
+``sp(NOOP, v)`` is ``v``, its walks jump over runs of ``NOOP`` and touch only
+the other steps, so a sliced prefix replays only its cone.
 """
 
 from __future__ import annotations
@@ -70,37 +76,53 @@ def sp_seq(
 class SuffixReplay:
     """Memoised ``sp_seq`` over every suffix of one operation sequence.
 
-    The variable set of each suffix is computed once, right to left.  A walk
-    from ``(pos, v)`` stores its result under every (position, assignment) it
-    passed once it ends in Bottom, at the end of the sequence, or at a pair
-    already stored, so later walks that reach a visited state stop there.
-    The memo lives as long as the replay; keep one per path, not longer.
+    The variable set of each suffix, and the position of the first step at
+    or after each position that is not ``NOOP``, are computed once, right to
+    left.  A walk jumps over runs of ``NOOP``, which leave every value as it
+    is.  A walk from ``(pos, v)`` stores its result under every (position,
+    assignment) it passed, once it ends in Bottom, at the end of the
+    sequence, or at a pair already stored, so later walks that reach a
+    visited state stop there; only positions of steps other than ``NOOP`` are
+    keys.  A walk reads the clock at its first step and then every
+    ``CLOCK_STRIDE`` steps it takes.  The memo lives as long as the replay;
+    keep one per path, not longer.
     """
 
-    __slots__ = ("ops", "variables", "deadline", "_memo")
+    __slots__ = ("ops", "variables", "next_step", "deadline", "_memo")
 
     def __init__(self, ops: Sequence[Operation], deadline: Optional[float] = None):
-        self.ops = tuple(ops)
+        self.ops = ops = tuple(ops)
         self.deadline = deadline
-        # variables[pos] holds the variables of ops[pos:]
+        # variables[pos] holds the variables of ops[pos:], and next_step[pos]
+        # the first position at or after pos whose operation is not NOOP
         suffix_vars: frozenset[str] = frozenset()
+        following = len(ops)
         variables = [suffix_vars]
-        for op in reversed(self.ops):
+        next_step = [following]
+        for pos in reversed(range(len(ops))):
             check_deadline(deadline, len(variables))
-            own = op_variables(op)
-            if not own <= suffix_vars:
-                suffix_vars = suffix_vars | own
+            op = ops[pos]
+            if op is not NOOP:
+                following = pos
+                own = op_variables(op)
+                if not own <= suffix_vars:
+                    suffix_vars = suffix_vars | own
             variables.append(suffix_vars)
+            next_step.append(following)
         variables.reverse()
+        next_step.reverse()
         self.variables = variables
+        self.next_step = next_step
         self._memo: dict[tuple[int, Assignment], AbstractAssignment] = {}
 
     def sp_from(self, pos: int, v: AbstractAssignment) -> AbstractAssignment:
         """``sp_seq(self.ops[pos:], v)``, through the memo."""
-        ops, memo, deadline = self.ops, self._memo, self.deadline
-        trail = []
-        while v is not BOTTOM and pos < len(ops):
-            check_deadline(deadline, pos)
+        ops, next_step, memo, deadline = self.ops, self.next_step, self._memo, self.deadline
+        end = len(ops)
+        pos = next_step[pos]
+        trail = []  # its length is the number of steps walked
+        while v is not BOTTOM and pos < end:
+            check_deadline(deadline, len(trail))
             key = (pos, v)
             hit = memo.get(key)
             if hit is not None:
@@ -108,7 +130,7 @@ class SuffixReplay:
                 break
             trail.append(key)
             v = sp(ops[pos], v)
-            pos += 1
+            pos = next_step[pos + 1]
         for key in trail:
             memo[key] = v
         return v
@@ -157,6 +179,41 @@ def extract_sliced_prefixes(path: Path, deadline: Optional[float] = None) -> lis
             feasible_steps.append((op, loc))
             v = v_next
     return prefixes
+
+
+def slice_to_cone(path: Path, deadline: Optional[float] = None) -> Path:
+    """``path`` with every step outside the backward dependency cone of its
+    last step replaced by ``NOOP``, at the same position and location.
+
+    The cone starts with the variables of the last step, which stays.
+    Walking backward, an assignment to a cone variable (``x := nondet()``
+    too) stays, and the variables its expression reads join the cone; an
+    assume that mentions a cone variable stays, since it may force a binding,
+    and its variables join the cone.  Variables never leave the cone.  For a
+    sliced prefix, whose last step is its one contradiction, interpolation of
+    the result gives the interpolants of the prefix itself.  Raises
+    LimitReached("timeout") once ``deadline`` passes.
+    """
+    steps = path.steps
+    if not steps:
+        return path
+    cone = op_variables(steps[-1][0])
+    kept = [steps[-1]]
+    for op, loc in reversed(steps[:-1]):
+        check_deadline(deadline, len(kept))
+        if isinstance(op, Assume):
+            own = op_variables(op)
+            depends = not cone.isdisjoint(own)
+        else:
+            depends = op.var in cone
+            own = op_variables(op) if depends else ()
+        if depends:
+            cone |= own
+            kept.append((op, loc))
+        else:
+            kept.append((NOOP, loc))
+    kept.reverse()
+    return Path(tuple(kept))
 
 
 def render_path(path: Path) -> str:

@@ -7,6 +7,16 @@ while selection interpolates each of its infeasible sliced prefixes (each a
 scores interpolant sequences by how expensive their variables are to track
 (booleans cheap, loop counters dear).
 
+Selection hands the interpolator each prefix sliced to the dependency cone of
+its contradiction (``paths.slice_to_cone``; path slicing, Jhala and Majumdar,
+PLDI 2005).  All of a sliced prefix but its last step is feasible, so a replay
+from a cut never turns an assume outside the cone False, and whether the last
+one does depends on the cone alone: the interpolants are those of the whole
+prefix, and the replays touch only the cone.  The classic heuristic's error
+path stays whole.  It may contradict in more than one place, and a replay past
+the first contradiction can take a binding that a later assume outside the
+cone refutes, so slicing could change its interpolants.
+
 A refinement yields a per-path precision: each variable an interpolant
 references, at the location of that interpolant.  ``widen_to_live_ranges``
 maps it to the precision the analysis uses: a variable tracked at location l
@@ -35,7 +45,7 @@ from .lang import (
     tree_variables,
 )
 from .interpolation import InterpolantSequence, interpolant_sequence
-from .paths import Path, check_deadline
+from .paths import Path, check_deadline, slice_to_cone
 from .values import BOTTOM, TOP, AbstractAssignment, restrict, sp
 
 
@@ -350,20 +360,16 @@ def choose_sliced_prefix(
 
 
 class RefinementResult(Frozen):
-    __slots__ = (
-        "precision", "prefix_count", "chosen_index", "chosen_score", "interpolation_calls"
-    )
+    __slots__ = ("precision", "chosen_index", "chosen_score", "interpolation_calls")
 
     def __init__(
         self,
         precision: Precision,
-        prefix_count: int,
         chosen_index: Optional[int],
         chosen_score: Optional[int],
         interpolation_calls: int,
     ):
         set_field(self, "precision", precision)
-        set_field(self, "prefix_count", prefix_count)
         set_field(self, "chosen_index", chosen_index)
         set_field(self, "chosen_score", chosen_score)
         set_field(self, "interpolation_calls", interpolation_calls)
@@ -388,28 +394,27 @@ def refine_selecting(
     """Refinement of the infeasible error path ``path``, given its sliced
     prefixes as ``extract_sliced_prefixes`` returns them.
 
-    Interpolant sequences are computed for every prefix before choosing, even
-    for heuristics that ignore them, so interpolation effort is comparable
-    across heuristics.  The classic heuristic skips selection and interpolates
-    ``path`` itself.  Raises ValueError on no prefix (a feasible path), and
+    Interpolant sequences are computed for every prefix, sliced to the cone
+    of its contradiction, before choosing, even for heuristics that ignore
+    them, so interpolation effort is comparable across heuristics.  The
+    classic heuristic skips selection and interpolates ``path`` itself,
+    unsliced.  Raises ValueError on no prefix (a feasible path), and
     LimitReached("timeout") once ``deadline`` passes.
     """
     if not prefixes:
         raise ValueError("refinement requires an infeasible path")
     if heuristic is Heuristic.CLASSIC:
         seq, calls = interpolant_sequence(path, deadline)
-        return RefinementResult(_precision_of(seq), 0, None, None, calls)
+        return RefinementResult(_precision_of(seq), None, None, calls)
     sequences = []
     calls = 0
     for prefix in prefixes:
-        seq, n = interpolant_sequence(prefix, deadline)
+        seq, n = interpolant_sequence(slice_to_cone(prefix, deadline), deadline)
         sequences.append(seq)
         calls += n
     chosen = choose_sliced_prefix(sequences, heuristic, table)
     score = score_interpolant_sequence(sequences[chosen], table)
-    return RefinementResult(
-        _precision_of(sequences[chosen]), len(prefixes), chosen, score, calls
-    )
+    return RefinementResult(_precision_of(sequences[chosen]), chosen, score, calls)
 
 
 def check_refinement_progress(

@@ -23,7 +23,7 @@ from prefixselect.interpolation import (
     interpolate,
 )
 from prefixselect.lang import NOOP, Assume
-from prefixselect.paths import Path, extract_sliced_prefixes, sp_seq
+from prefixselect.paths import Path, extract_sliced_prefixes, slice_to_cone, sp_seq
 from prefixselect.refinement import Heuristic, check_refinement_progress
 from prefixselect.values import BOTTOM
 
@@ -188,6 +188,19 @@ def test_prefix_interpolants_transfer_to_original_path(capfd, harvest500):
                     assert check_interpolant(
                         gamma, full_ops[: pos + 1], full_ops[pos + 1 :]
                     )
+
+
+def test_sliced_prefix_interpolants_unchanged(capfd, harvest500):
+    with announce(capfd, "cone-sliced prefixes give the same interpolants"):
+        checked = 0
+        for path, _, _ in harvest500:
+            for prefix in extract_sliced_prefixes(path):
+                # entry for entry, and the same number of interpolation calls
+                assert interpolant_sequence(slice_to_cone(prefix)) == (
+                    interpolant_sequence(prefix)
+                )
+                checked += 1
+        assert checked > len(harvest500)
 
 
 def test_interpolant_contract_and_minimality(capfd, harvest500):

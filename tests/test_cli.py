@@ -22,6 +22,7 @@ from prefixselect.cli import (
 from prefixselect.engine import Limits, RefinementProgressError
 from prefixselect.frontend import MAX_DEPTH
 from prefixselect.generators import (
+    checks_program,
     fig2_program,
     generate_fig2_family,
     wide_flags_program,
@@ -316,7 +317,8 @@ class TestVerify:
         assert data["rounds"][0]["precision_size"] == data["precision_size"]
         main(argv)
         out = capsys.readouterr().out
-        assert "refinement 1: 0 prefixes, chose None (score None)" in out
+        # classic chooses no prefix, but its rounds count them like the others
+        assert "refinement 1: 2 prefixes, chose None (score None)" in out
         assert "refinement 2:" not in out
 
     @pytest.mark.parametrize("extra", [[], ["--timeout", "20"]])
@@ -392,6 +394,8 @@ class TestUsageErrors:
             ["gen", "fig2", "--n", "0", "--out", "{dir}"],
             ["gen", "wide", "--k", "0", "--out", "{dir}"],
             ["gen", "wide", "--k", "-1", "--out", "{dir}"],
+            ["gen", "checks", "--n", "0", "--out", "{dir}"],
+            ["gen", "checks", "--n", "-1", "--out", "{dir}"],
             ["gen", "random", "--seed", "1", "--count", "0", "--out", "{dir}"],
         ],
     )
@@ -616,6 +620,22 @@ class TestGen:
         path = tmp_path / "wide_k3.imp"
         assert capsys.readouterr().out == "%s\n" % path
         assert path.read_text(encoding="utf-8") == wide_flags_program(3)
+
+    def test_checks_writes_the_family_program(self, tmp_path, capsys):
+        assert main(["gen", "checks", "--n", "3", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "checks_n3.imp"
+        assert capsys.readouterr().out == "%s\n" % path
+        assert path.read_text(encoding="utf-8") == checks_program(3)
+        assert "x2 := 3;\nif (x0 == 0) {\n  error;\n}" in checks_program(3)
+        assert main(["verify", str(path)]) == 0
+
+    def test_checks_unwritable_out_exit_three(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["gen", "checks", "--n", "2", "--out", str(blocker)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error:") and not captured.out
 
     def test_wide_unwritable_out_exit_three(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CORPUS_SEED
-from prefixselect import engine
+from prefixselect import engine, paths
 from prefixselect.engine import (
     Limits,
     ReachedSet,
@@ -22,7 +22,12 @@ from prefixselect.engine import (
     reach,
 )
 from prefixselect.frontend import load_cfa
-from prefixselect.generators import fig2_program, random_program, wide_flags_program
+from prefixselect.generators import (
+    checks_program,
+    fig2_program,
+    random_program,
+    wide_flags_program,
+)
 from prefixselect.lang import (
     NOOP,
     And,
@@ -523,6 +528,12 @@ class TestCegar:
         # the shortest prefix refutes with the loop counter first
         _, stats = cegar(cfa, Heuristic.PREFIX_SHORTEST)
         assert [r["chosen_score"] for r in stats.rounds] == [100, 1]
+        # classic chooses no prefix but counts the same prefixes
+        _, classic = cegar(cfa, Heuristic.CLASSIC)
+        assert [r["prefixes"] for r in classic.rounds] == [2, 1]
+        assert [r["prefixes"] for r in stats.rounds] == [2, 1]
+        assert classic.prefixes_total == stats.prefixes_total == 3
+        assert {r["chosen_index"] for r in classic.rounds} == {None}
 
     @pytest.mark.parametrize("heuristic", list(Heuristic))
     def test_rounds_add_up(self, heuristic):
@@ -569,6 +580,39 @@ class TestCegar:
         verdict, stats = cegar(load_cfa(source), heuristic)
         assert verdict.kind == expected
         assert calls == stats.refinements + (verdict.kind == "FALSE")
+
+    @pytest.mark.parametrize("heuristic", list(Heuristic))
+    def test_checks_family_counters(self, heuristic):
+        # one refinement per check; classic interpolates whole paths, the
+        # others the one sliced prefix of each path
+        verdict, stats = cegar(load_cfa(checks_program(10)), heuristic)
+        calls = 155 if heuristic is Heuristic.CLASSIC else 145
+        assert (verdict.kind, stats.refinements, stats.states_created) == ("TRUE", 10, 151)
+        assert stats.interpolation_calls == calls
+        assert stats.prefixes_total == 10
+
+    def test_checks_family_sp_calls_scale(self, monkeypatch):
+        # each prefix is sliced to the one variable its check reads, so its
+        # replays walk the cone only: doubling n about quadruples the
+        # strongest-post calls of the n refinements (3.9x).  Replaying whole
+        # suffixes, which carry up to n bindings and never meet in the memo,
+        # costs 7.5x per doubling
+        def sp_calls(n):
+            calls = 0
+            sp = paths.sp
+
+            def counted(op, v):
+                nonlocal calls
+                calls += 1
+                return sp(op, v)
+
+            with monkeypatch.context() as m:
+                m.setattr(paths, "sp", counted)
+                verdict, stats = cegar(load_cfa(checks_program(n)), Heuristic.DOMAIN_TYPE)
+            assert (verdict.kind, stats.refinements) == ("TRUE", n)
+            return calls
+
+        assert sp_calls(40) <= 4.5 * sp_calls(20)
 
     @pytest.mark.parametrize("heuristic", list(Heuristic))
     def test_heuristics_agree(self, heuristic):

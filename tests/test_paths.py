@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import assign, assume_cmp, mkpath
-from prefixselect.lang import NOOP, Assume, AssignNondet, op_variables
+from conftest import assign, assign_expr, assume_cmp, mkpath
+from prefixselect import paths
+from prefixselect.lang import NOOP, Assume, AssignNondet, Comparison, VarRef, op_variables
 from prefixselect.paths import (
     CLOCK_STRIDE,
     LimitReached,
@@ -13,6 +14,7 @@ from prefixselect.paths import (
     check_deadline,
     extract_sliced_prefixes,
     render_path,
+    slice_to_cone,
     sp_seq,
 )
 from prefixselect.values import BOTTOM, TOP, Assignment
@@ -44,9 +46,15 @@ class TestSpPath:
 class TestSuffixReplay:
     def test_matches_plain_replay(self, spurious_sample):
         # every suffix view has the variables of, and replays like, the plain
-        # slice it stands for, before and after the memo has been filled
+        # slice it stands for, before and after the memo has been filled; on
+        # the error paths and on their prefixes sliced to the cone, whose
+        # runs of NOOP the walks jump over
+        sequences = []
         for path, _, _ in spurious_sample[:30]:
-            ops = path.ops
+            sequences.append(path.ops)
+            sequences += [slice_to_cone(p).ops for p in extract_sliced_prefixes(path)]
+        assert any(NOOP in ops for ops in sequences)
+        for ops in sequences:
             replay = SuffixReplay(ops)
             for _ in range(2):
                 for pos in range(len(ops) + 1):
@@ -62,6 +70,31 @@ class TestSuffixReplay:
         assert suffix.sp_seq(TOP) is BOTTOM
         assert suffix.variables == {"x"}
         assert Suffix(SuffixReplay(ops), 2).variables == frozenset()
+
+    def test_walk_over_noop_runs_reads_the_clock(self):
+        # a walk reads the clock at its first step wherever it starts, so a
+        # past deadline raises though no step sits at a multiple of the stride
+        ops = (NOOP,) * 5 + (assign("x", 0),) + (NOOP,) * 5 + (assume_cmp("x", ">", 0),)
+        replay = SuffixReplay(ops, -1.0)
+        with pytest.raises(LimitReached) as exc:
+            replay.sp_from(1, TOP)
+        assert exc.value.reason == "timeout"
+
+    def test_clock_read_per_stride_of_steps_walked(self, monkeypatch):
+        # the clock is read every CLOCK_STRIDE steps walked, not at the
+        # positions that are multiples of it, which NOOP runs can hide
+        reads = 0
+
+        def clock():
+            nonlocal reads
+            reads += 1
+            return 0.0
+
+        ops = (assign("x", 0), NOOP) * (2 * CLOCK_STRIDE + 1)
+        replay = SuffixReplay(ops, float("inf"))
+        monkeypatch.setattr(paths.time, "perf_counter", clock)
+        assert replay.sp_from(1, TOP) == Assignment({"x": 0})
+        assert reads == 2  # 2 * CLOCK_STRIDE steps, not a NOOP among them
 
 
 class TestFeasibility:
@@ -100,6 +133,72 @@ class TestDeadline:
             with pytest.raises(LimitReached) as exc:
                 check_deadline(past, step)
             assert exc.value.reason == "timeout"
+
+
+def assume_equal(x: str, y: str) -> Assume:
+    return Assume(Comparison("==", VarRef(x), VarRef(y)))
+
+
+class TestSliceToCone:
+    def test_keeps_assignments_that_feed_the_contradiction(self):
+        # x feeds y, y is checked; z and the assume on it are unrelated, and
+        # so is w, though its expression reads x
+        path = mkpath(
+            (assign("x", 1), 1),
+            (assign("z", 5), 2),
+            (assign_expr("y", "x", "+", 1), 3),
+            (assume_cmp("z", ">", 0), 4),
+            (assign_expr("w", "x", "+", 2), 5),
+            (assume_cmp("y", "==", 0), 6),
+        )
+        sliced = slice_to_cone(path)
+        assert sliced.ops == (path.ops[0], NOOP, path.ops[2], NOOP, NOOP, path.ops[5])
+        assert sliced.locations == path.locations
+
+    def test_keeps_assumes_on_the_cone_and_nondet(self):
+        # the assume x == w may force x, so it stays and w joins the cone;
+        # x := nondet() assigns a cone variable and stays
+        path = mkpath(
+            (AssignNondet("x"), 1),
+            (assign("w", 3), 2),
+            (assume_equal("x", "w"), 3),
+            (assign("u", 0), 4),
+            (assume_cmp("x", "==", 4), 5),
+        )
+        sliced = slice_to_cone(path)
+        assert sliced.ops == (path.ops[0], path.ops[1], path.ops[2], NOOP, path.ops[4])
+        assert sp_seq(path.ops) is BOTTOM and sp_seq(sliced.ops) is BOTTOM
+
+    def test_variables_never_leave_the_cone(self):
+        # x := 2 overwrites x, but the earlier x := 1 stays all the same
+        path = mkpath(
+            (assign("x", 1), 1),
+            (assign("x", 2), 2),
+            (assume_cmp("x", "==", 0), 3),
+        )
+        assert slice_to_cone(path) == path
+
+    def test_positions_and_locations_stay(self, spurious_sample):
+        for path, _, _ in spurious_sample:
+            for prefix in extract_sliced_prefixes(path):
+                sliced = slice_to_cone(prefix)
+                assert sliced.locations == prefix.locations
+                assert sliced.steps[-1] == prefix.steps[-1]
+                for (op, _), (orig, _) in zip(sliced, prefix):
+                    assert op in (orig, NOOP)
+                # the slice keeps the contradiction, and only it
+                assert sp_seq(sliced.ops) is BOTTOM
+                assert sp_seq(sliced.ops[:-1]) is not BOTTOM
+                assert slice_to_cone(sliced) == sliced
+
+    def test_empty_path(self):
+        assert slice_to_cone(mkpath()) == mkpath()
+
+    def test_deadline_passed(self):
+        # a pass over the whole path reads the clock every CLOCK_STRIDE steps
+        path = mkpath(*[(assign("x", 0), 1)] * (CLOCK_STRIDE + 1))
+        with pytest.raises(LimitReached):
+            slice_to_cone(path, -1.0)
 
 
 def replaced_positions(prefix: Path, path: Path) -> set[int]:

@@ -313,7 +313,7 @@ class TestRefineSelecting:
             table,
         )
         assert result.precision.at(1) == {"x"}
-        assert result.prefix_count == 2 and result.chosen_index == 0
+        assert result.chosen_index == 0
 
     def test_classic_heuristic_bypasses_selection(self):
         table = {"x": DomainType.INTEGER_OTHER, "y": DomainType.INTEGER_OTHER}
@@ -327,7 +327,6 @@ class TestRefineSelecting:
                 tracked[loc] = tracked.get(loc, frozenset()) | names
         assert selecting.precision == Precision(tracked)
         assert selecting.interpolation_calls == calls
-        assert selecting.prefix_count == 0
         assert selecting.chosen_index is None
 
     def test_single_prefix_matches_classic(self, spurious_sample):
