@@ -67,6 +67,9 @@ class RunStats:
     interpolates the whole path and chooses none, so they are None), and the
     precision size after the refinement (``precision_size``).
     ``prefixes_total`` sums the rounds' ``prefixes``.
+    ``interpolation_calls`` counts calls of the interpolation engine, not
+    cuts: a cut where the engine provably returns the previous interpolant
+    makes no call (``interpolation.interpolant_sequence``).
     ``__slots__`` lists the counters in the order ``verify --format json``
     prints them.
     """

@@ -25,7 +25,7 @@ from prefixselect.interpolation import (
 from prefixselect.lang import NOOP, Assume
 from prefixselect.paths import Path, extract_sliced_prefixes, slice_to_cone, sp_seq
 from prefixselect.refinement import Heuristic, check_refinement_progress
-from prefixselect.values import BOTTOM
+from prefixselect.values import BOTTOM, TOP
 
 LIMITS = Limits(max_refinements=200, max_states=100_000)
 FIG2_SIZES = [2, 3, 5, 8, 10, 20, 50, 100, 150, 200]
@@ -190,14 +190,33 @@ def test_prefix_interpolants_transfer_to_original_path(capfd, harvest500):
                     )
 
 
+def every_cut_entries(path):
+    """The entries of ``path``'s interpolant sequence with the engine called
+    at every cut, each on its own slice of the path."""
+    ops, gamma, entries = path.ops, TOP, []
+    for i in range(len(ops) - 1):
+        gamma = interpolate(ops[i : i + 1], ops[i + 1 :], gamma)
+        entries.append((i, path.locations[i], gamma))
+        if gamma is BOTTOM:
+            break
+    return tuple(entries)
+
+
 def test_sliced_prefix_interpolants_unchanged(capfd, harvest500):
     with announce(capfd, "cone-sliced prefixes give the same interpolants"):
         checked = 0
         for path, _, _ in harvest500:
-            for prefix in extract_sliced_prefixes(path):
-                # entry for entry, and the same number of interpolation calls
-                assert interpolant_sequence(slice_to_cone(prefix)) == (
-                    interpolant_sequence(prefix)
+            prefixes = extract_sliced_prefixes(path)
+            for p in [path] + prefixes + [slice_to_cone(q) for q in prefixes]:
+                # entry for entry what calling the engine at every cut gives,
+                # with at most one call per cut
+                seq, calls = interpolant_sequence(p)
+                expected = every_cut_entries(p)
+                assert seq.entries == expected
+                assert 1 <= calls <= len(expected)
+            for prefix in prefixes:
+                assert interpolant_sequence(slice_to_cone(prefix))[0] == (
+                    interpolant_sequence(prefix)[0]
                 )
                 checked += 1
         assert checked > len(harvest500)

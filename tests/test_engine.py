@@ -584,17 +584,27 @@ class TestCegar:
     @pytest.mark.parametrize("heuristic", list(Heuristic))
     def test_checks_family_counters(self, heuristic):
         # one refinement per check; classic interpolates whole paths, the
-        # others the one sliced prefix of each path
+        # others the one sliced prefix of each path.  That prefix's cone is
+        # one assignment and its check, so the engine runs once, at the
+        # assignment; every other cut keeps the interpolant it had
         verdict, stats = cegar(load_cfa(checks_program(10)), heuristic)
-        calls = 155 if heuristic is Heuristic.CLASSIC else 145
+        calls = 65 if heuristic is Heuristic.CLASSIC else stats.refinements
         assert (verdict.kind, stats.refinements, stats.states_created) == ("TRUE", 10, 151)
         assert stats.interpolation_calls == calls
         assert stats.prefixes_total == 10
 
+    @pytest.mark.parametrize("heuristic", list(Heuristic))
+    def test_fig2_calls_constant_in_loop_bound(self, heuristic):
+        # the interpolants change only around the flag and the loop exit, so
+        # the engine runs at as many cuts for every loop bound
+        runs = [cegar(load_cfa(fig2_program(n)), heuristic) for n in (10, 100, 300)]
+        assert {verdict.kind for verdict, _ in runs} == {"TRUE"}
+        assert len({stats.interpolation_calls for _, stats in runs}) == 1
+
     def test_checks_family_sp_calls_scale(self, monkeypatch):
         # each prefix is sliced to the one variable its check reads, so its
         # replays walk the cone only: doubling n about quadruples the
-        # strongest-post calls of the n refinements (3.9x).  Replaying whole
+        # strongest-post calls of the n refinements (3.7x).  Replaying whole
         # suffixes, which carry up to n bindings and never meet in the memo,
         # costs 7.5x per doubling
         def sp_calls(n):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import assign, assign_expr, assume_cmp
-from prefixselect import paths
+from conftest import assign, assign_expr, assume_cmp, mkpath
+from prefixselect import interpolation, paths
 from prefixselect.engine import extract_error_path, reach
 from prefixselect.frontend import load_cfa
 from prefixselect.generators import fig2_program
@@ -17,12 +18,13 @@ from prefixselect.interpolation import (
     interpolate,
     seq_variables,
 )
-from prefixselect.lang import Assume, Comparison, IntLit, VarRef
+from prefixselect.lang import FALSE, NOOP, Assume, Comparison, IntLit, VarRef
 from prefixselect.paths import (
     LimitReached,
     Path,
     SuffixReplay,
     extract_sliced_prefixes,
+    slice_to_cone,
     sp_seq,
 )
 from prefixselect.refinement import Precision
@@ -37,9 +39,10 @@ def as_constraints(gamma):
 
 
 def reference_sequence(path):
-    """Inductive interpolation with one independent ``interpolate`` call per
-    cut on a plain slice of the path, each checked against the contract: the
-    previous interpolant enters the cut as constraints, not as a start."""
+    """Inductive interpolation with one independent ``interpolate`` call at
+    every cut, on a plain slice of the path, each checked against the
+    contract: the previous interpolant enters the cut as constraints, not as
+    a start."""
     ops = path.ops
     gamma = TOP
     entries = []
@@ -156,7 +159,8 @@ class TestSequences:
             for prefix in extract_sliced_prefixes(path):
                 seq, calls = interpolant_sequence(prefix)
                 ops = prefix.ops
-                assert calls == len(seq.entries)
+                # one engine call at least, and at most one per cut
+                assert 1 <= calls <= len(seq.entries)
                 for pos, loc, gamma in seq.entries:
                     assert loc == prefix.locations[pos]
                     assert check_interpolant(gamma, ops[: pos + 1], ops[pos + 1 :])
@@ -173,25 +177,97 @@ class TestSequences:
                     assert check_interpolant(gamma, minus, plus)
 
     def test_matches_reference_loop(self, spurious_sample):
-        # one memoised replay shared by all cuts gives what interpolating each
-        # cut on its own gives, on whole error paths and on sliced prefixes
-        checked = 0
+        # one memoised replay shared by all cuts, and the engine called only
+        # where the interpolant can change, give what interpolating every cut
+        # on its own gives: on whole error paths and on sliced prefixes,
+        # before and after slicing them to their cones
+        checked = skipped = 0
         for path, _, _ in spurious_sample:
-            for p in [path] + extract_sliced_prefixes(path):
-                assert interpolant_sequence(p) == reference_sequence(p)
+            prefixes = extract_sliced_prefixes(path)
+            for p in [path] + prefixes + [slice_to_cone(q) for q in prefixes]:
+                seq, calls = interpolant_sequence(p)
+                reference, cuts = reference_sequence(p)
+                assert seq == reference
+                assert calls <= cuts
                 checked += 1
+                skipped += cuts - calls
         assert checked > len(spurious_sample)
+        assert skipped > 0
+
+    def test_calls_counts_engine_invocations(self, monkeypatch, spurious_sample):
+        invoked = 0
+        engine = interpolation.interpolate
+
+        def counted(*args):
+            nonlocal invoked
+            invoked += 1
+            return engine(*args)
+
+        monkeypatch.setattr(interpolation, "interpolate", counted)
+        for path, _, _ in spurious_sample[:40]:
+            for p in [path] + extract_sliced_prefixes(path):
+                before = invoked
+                _, calls = interpolant_sequence(p)
+                assert calls == invoked - before >= 1
 
     def test_feasible_path_is_contract_error(self):
         path = Path(((assign("x", 1), 1), (assume_cmp("x", "==", 1), 2), (assign("y", 0), 3)))
         with pytest.raises(InterpolationError, match="not contradicting"):
             interpolant_sequence(path)
 
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            # every cut before the last is one the engine may skip, so the
+            # last makes the one call, and with it the contract check
+            ((NOOP, 1), (NOOP, 2), (assume_cmp("x", "==", 1), 3)),
+            ((assume_cmp("y", ">", 0), 1), (NOOP, 2), (assume_cmp("x", "==", 1), 3)),
+            ((NOOP, 1), (assume_cmp("x", "==", 1), 2), (assign("y", 0), 3)),
+        ],
+    )
+    def test_feasible_path_after_skipped_cuts_is_contract_error(self, steps):
+        with pytest.raises(InterpolationError, match="not contradicting"):
+            interpolant_sequence(mkpath(*steps))
+
+    def test_skipped_cuts_give_top_before_the_first_call(self):
+        path = mkpath((NOOP, 1), (assume_cmp("y", ">", 0), 2), (NOOP, 3), (Assume(FALSE), 4))
+        seq, calls = interpolant_sequence(path)
+        assert seq.entries == ((0, 1, TOP), (1, 2, TOP), (2, 3, TOP))
+        assert calls == 1
+
     def test_deadline_passed(self, spurious_sample):
         path, _, _ = spurious_sample[0]
         with pytest.raises(LimitReached) as exc:
             interpolant_sequence(path, time.perf_counter() - 1.0)
         assert exc.value.reason == "timeout"
+
+    def test_deadline_passed_on_skipped_cuts(self, monkeypatch):
+        # the engine runs at the first cut only, and the clock passes the
+        # deadline just after that call; the cuts after it are skipped, and
+        # the first of them raises
+        path = mkpath(
+            (assign("x", 1), 1), (NOOP, 2), (NOOP, 3), (assume_cmp("x", "==", 0), 4)
+        )
+        now = 0.0
+        monkeypatch.setattr(paths, "time", SimpleNamespace(perf_counter=lambda: now))
+        engine = interpolation.interpolate
+        calls = 0
+
+        def late(*args):
+            nonlocal now, calls
+            calls += 1
+            gamma = engine(*args)
+            now = 2.0
+            return gamma
+
+        monkeypatch.setattr(interpolation, "interpolate", late)
+        with pytest.raises(LimitReached) as exc:
+            interpolant_sequence(path, 1.0)
+        assert exc.value.reason == "timeout"
+        assert calls == 1
+        # a deadline already past raises on such a path too
+        with pytest.raises(LimitReached):
+            interpolant_sequence(mkpath((NOOP, 1), (NOOP, 2), (Assume(FALSE), 3)), -1.0)
 
     def test_sweep_deadline_passed(self, spurious_sample):
         path, _, _ = spurious_sample[0]

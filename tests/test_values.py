@@ -292,6 +292,14 @@ class TestSp:
         post = sp(op, v)
         assert implies(post, restrict(post, tracked))
 
+    @given(operations, nonbottom, nonbottom)
+    def test_monotone(self, op, v, extra):
+        # if a implies b, then sp(op, a) implies sp(op, b); interpolation
+        # sequences keep an interpolant without calling the engine on this
+        stronger = Assignment({**extra, **v})
+        assert implies(stronger, v)
+        assert implies(sp(op, stronger), sp(op, v))
+
     @given(preds, nonbottom)
     def test_assume_invents_no_bindings(self, p, v):
         post = sp(Assume(p), v)
