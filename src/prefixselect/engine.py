@@ -2,29 +2,37 @@
 
 Exploration is a worklist over (location, assignment) states with
 precision-restricted strongest-post transfer and coverage by implication
-against same-location states.  On a spurious counterexample the precision is
-refined and exploration resumes from the pivot: the states whose chain from
-the root avoids every location whose tracked set grew are kept, and only the
-work the refinement invalidated is redone (lazy abstraction, Henzinger,
-Jhala, Majumdar and Sutre, POPL 2002).
+against same-location states.  States are stored only at block heads
+(``ControlFlowAutomaton.block_edges``): expanding a state walks each block
+edge from its location, applying the transfer at every step and stopping at
+Bottom, and only the value at the block edge's end becomes a new state.  This
+is basic-block encoding, the first step of large-block encoding (Beyer,
+Cimatti, Griggio, Keremoglu and Sebastiani, FMCAD 2009).  A state keeps its
+block's steps, so a counterexample is still a path of single operations.
+On a spurious counterexample the precision is refined and exploration
+resumes from the pivot: the states whose chain from the root avoids every
+location whose tracked set grew, inner locations of the blocks included, are
+kept, and only the work the refinement invalidated is redone (lazy
+abstraction, Henzinger, Jhala, Majumdar and Sutre, POPL 2002).
 
-The waitlist is one heap of (priority, creation index, state).  An
-exploration from the root gives every state priority 0, so it is
-breadth-first and the first counterexample is a shortest one.  A resumed
-exploration gives a state the negated reverse-postorder rank of its location
-and so expands the state at the deepest program point first, ties in
-creation order, so that it heads for the next counterexample instead of
-first widening the frontier that the refinement left.  A state is open while
-its successors may not all be in the reached set; the waitlist of a resumed
-exploration is its open states.  The configurable program analysis
-algorithm leaves this order open (Beyer, Henzinger and Théoduloz, CAV 2007);
-the verdict does not depend on it.
+The waitlist is one heap of (priority, push index, state).  A new state is
+a candidate on the waitlist, and is checked for coverage and stored when it
+leaves it.  An exploration from the root gives a state the number of
+operations from the root as its priority, so the first counterexample is a
+shortest one in edges.  A resumed exploration gives a state the negated
+reverse-postorder rank of its location and so expands the state at the
+deepest program point first, ties in push order, so that it heads for the
+next counterexample instead of first widening the frontier that the
+refinement left.  A stored state is open while its successors may not all
+be in the reached set; the waitlist of a resumed exploration is its open
+states.  The configurable program analysis algorithm leaves this order open
+(Beyer, Henzinger and Théoduloz, CAV 2007); the verdict does not depend on it.
 """
 
 from __future__ import annotations
 
 import time
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Callable, Collection, Mapping, Optional
 
@@ -56,9 +64,11 @@ class Limits(Frozen):
 class RunStats:
     """Counters of one ``cegar`` run.
 
-    ``states_created`` and ``coverage_hits`` count only new work: states a
-    refinement leaves valid are not created again, and are counted once more
-    in ``states_reused`` at every restart that keeps them.
+    ``states_created`` counts the states stored in the reached set, which
+    sit at block heads only, and ``coverage_hits`` the candidates dropped as
+    covered.  Both count only new work: states a refinement leaves valid are
+    not created again, and are counted once more in ``states_reused`` at
+    every restart that keeps them.
     ``precision_size`` is the number of tracked (location, variable) pairs
     when the run ends.  ``rounds`` holds one dict per finished refinement:
     the number of sliced prefixes of the refuted path (``prefixes``, under
@@ -115,20 +125,28 @@ class Verdict(Frozen):
 
 
 class State:
-    """``open`` marks a state whose successors may not all be in the reached
-    set.  It is set when the state is created and cleared when ``reach`` pops
-    it; an expansion that drops a successor as covered sets it again, since
-    the coverer may be pruned later, and so does ``prune`` when it removes a
-    successor."""
+    """An abstract state at a block head, reached from ``parent`` by the
+    block edge ``steps``, a tuple of (operation, location) pairs that ends at
+    ``loc``; the root has no parent and no steps.  ``depth`` is the number of
+    operations from the root.
 
-    __slots__ = ("loc", "value", "parent", "op_in", "open")
+    A state is a candidate from its creation until it leaves the waitlist,
+    and is then stored in the reached set unless it is covered.  ``open``
+    marks a stored state whose successors may not all be in the reached set;
+    a candidate is never open.  It is set when the state is stored and
+    cleared when ``reach`` expands it; a candidate dropped as covered sets it
+    on its parent again, since the coverer may be pruned later, and so does
+    ``prune`` when it removes a successor or drops a candidate."""
 
-    def __init__(self, loc, value, parent=None, op_in=None):
+    __slots__ = ("loc", "value", "parent", "steps", "depth", "open")
+
+    def __init__(self, loc, value, parent=None, steps=()):
         self.loc = loc
         self.value = value
         self.parent = parent
-        self.op_in = op_in
-        self.open = True
+        self.steps = steps
+        self.depth = len(steps) + (parent.depth if parent is not None else 0)
+        self.open = False
 
 
 class ReachedSet:
@@ -144,12 +162,13 @@ class ReachedSet:
     O(#domains x |def|).  ``states`` holds every stored state in creation
     order, so a parent always precedes its children.
 
-    The waitlist is a heap of (priority, creation index, state), so ``pop``
-    returns the state of least priority, the earliest created among equals.
-    The priority is 0, which makes the order first-in first-out, until
-    ``prune`` keeps a state; from then on it is the negated reverse-postorder
-    rank of the state's location (``rank``, from
-    ``refinement.depth_first_search``), so the deepest state comes first.
+    The waitlist is a heap of (priority, push index, state), so ``pop``
+    returns the state of least priority, the earliest pushed among equals.
+    It holds candidates and, after ``prune``, the open stored states.  The
+    priority is the state's depth until ``prune`` keeps a state; from then
+    on it is the negated reverse-postorder rank of the state's location
+    (``rank``, from ``refinement.depth_first_search``), so the deepest state
+    comes first.
     """
 
     def __init__(self, rank: Optional[Mapping[int, int]] = None):
@@ -158,7 +177,8 @@ class ReachedSet:
         self.by_loc: dict[int, dict[frozenset[str], tuple[Callable, set]]] = {}
         self.states: list[State] = []
         self.waitlist: list[tuple[int, int, State]] = []
-        self.priority: Mapping[int, int] = {}  # loc -> priority; 0 if absent
+        self.pushes = 0
+        self.resumed = False
         self.error_state: Optional[State] = None
 
     @property
@@ -177,6 +197,7 @@ class ReachedSet:
         return False
 
     def add(self, state: State) -> None:
+        """Store ``state`` and mark it open."""
         bindings = state.value.bindings
         domains = self.by_loc.setdefault(state.loc, {})
         domain = frozenset(bindings)
@@ -184,8 +205,14 @@ class ReachedSet:
         if entry is None:
             entry = domains[domain] = (_projection(domain), set())
         entry[1].add(entry[0](bindings))
-        heappush(self.waitlist, (self.priority.get(state.loc, 0), len(self.states), state))
+        state.open = True
         self.states.append(state)
+
+    def push(self, state: State) -> None:
+        """Put ``state`` on the waitlist."""
+        priority = -self.rank[state.loc] if self.resumed else state.depth
+        heappush(self.waitlist, (priority, self.pushes, state))
+        self.pushes += 1
 
     def pop(self) -> State:
         """Take the next state to expand off the waitlist."""
@@ -193,19 +220,29 @@ class ReachedSet:
 
     def prune(self, changed: Collection[int]) -> None:
         """Remove the error state and every state whose chain from the root
-        enters a location in ``changed``, and drop their keys from the index.
+        enters a location in ``changed``, at a block head or inside a block,
+        and drop their keys from the index.
 
         The kept states are exactly what a fresh exploration under the grown
         precision computes along the same chains, because their values depend
         only on the tracked sets of unchanged locations.  Removing a state
-        opens its parent, and the waitlist becomes the open kept states,
-        deepest first.  If the root is removed nothing is kept, and the
-        priority is 0 again for the fresh exploration.
+        opens its parent, and so does dropping a candidate from the waitlist.
+        The waitlist becomes the open kept states, deepest first.  If the root
+        is removed nothing is kept, and the fresh exploration is by depth
+        again.
         """
+        for _, _, state in self.waitlist:
+            if not state.open:
+                state.parent.open = True
         removed: set[State] = set()
         kept = []
         for state in self.states:
-            if state.loc in changed or state.parent in removed or state is self.error_state:
+            if (
+                state.parent in removed
+                or state is self.error_state
+                or state.loc in changed
+                or any(loc in changed for _, loc in state.steps)
+            ):
                 removed.add(state)
                 if state.parent is not None:
                     state.parent.open = True
@@ -220,9 +257,12 @@ class ReachedSet:
                 kept.append(state)
         self.states = kept
         self.error_state = None
-        self.priority = {loc: -r for loc, r in self.rank.items()} if kept else {}
-        self.waitlist = [(self.priority[s.loc], i, s) for i, s in enumerate(kept) if s.open]
-        heapify(self.waitlist)
+        self.resumed = bool(kept)
+        self.waitlist = []
+        self.pushes = 0
+        for state in kept:
+            if state.open:
+                self.push(state)
 
 
 def _projection(domain: frozenset[str]) -> Callable[[Mapping[str, int]], object]:
@@ -244,13 +284,20 @@ def reach(
     """Explore abstract states under a precision until the error location is
     reached or the frontier empties.
 
+    A candidate that leaves the waitlist is dropped if the reached set
+    covers it and stored otherwise; a stored state is expanded along every
+    block edge from its location, with ``restrict(sp(op, v), precision.at(l))``
+    at each step, and each block edge that does not reach Bottom pushes a
+    candidate at its end.  The run stops when a state at the error location
+    is stored.
     ``reached``, if given, is a set that ``ReachedSet.prune`` left valid under
     ``precision``; exploration continues from its waitlist, deepest state
-    first, and breadth-first from a fresh root only if the root was pruned.
+    first, and by depth from a fresh root only if the root was pruned.
     ``stats``, if given, collects the states created and the coverage hits.
     Raises LimitReached("state-limit") when the set would hold more than
-    max_states states, kept and new together, and LimitReached("timeout") if
-    ``deadline`` has passed before a state is expanded.
+    max_states stored states, kept and new together, and
+    LimitReached("timeout") if ``deadline`` has passed before a state leaves
+    the waitlist.
     """
     if stats is None:
         stats = RunStats()
@@ -259,45 +306,51 @@ def reach(
     if not reached.size:
         root = State(cfa.initial, TOP)
         reached.add(root)
+        reached.push(root)
         stats.states_created += 1
         if cfa.error is not None and cfa.initial == cfa.error:
             reached.error_state = root
             return reached, True
+    at = precision.at
     while reached.waitlist:
         check_deadline(deadline)
         state = reached.pop()
-        state.open = False
-        for op, dst in cfa.out_edges(state.loc):
-            value = restrict(sp(op, state.value), precision.at(dst))
-            if value is BOTTOM:
-                continue
-            if reached.covered(dst, value):
-                state.open = True
+        if not state.open:
+            if reached.covered(state.loc, state.value):
+                state.parent.open = True
                 stats.coverage_hits += 1
                 continue
-            successor = State(dst, value, state, op)
             if reached.size >= max_states:
                 raise LimitReached("state-limit")
-            reached.add(successor)
+            reached.add(state)
             stats.states_created += 1
-            if dst == cfa.error:
-                reached.error_state = successor
+            if state.loc == cfa.error:
+                reached.error_state = state
                 return reached, True
+        state.open = False
+        for block in cfa.block_edges(state.loc):
+            value = state.value
+            for op, loc in block:
+                value = restrict(sp(op, value), at(loc))
+                if value is BOTTOM:
+                    break
+            else:
+                reached.push(State(loc, value, state, block))
     return reached, False
 
 
 def extract_error_path(reached: ReachedSet, deadline: Optional[float] = None) -> Path:
-    """Walk the predecessor chain from the error state back to the root."""
+    """Walk the predecessor chain from the error state back to the root and
+    expand each block edge on it into its (operation, location) steps."""
     state = reached.error_state
     if state is None:
         raise ValueError("reached set contains no error state")
-    steps = []
+    blocks = []
     while state.parent is not None:
-        check_deadline(deadline, len(steps))
-        steps.append((state.op_in, state.loc))
+        check_deadline(deadline, len(blocks))
+        blocks.append(state.steps)
         state = state.parent
-    steps.reverse()
-    return Path(tuple(steps))
+    return Path(tuple(step for block in reversed(blocks) for step in block))
 
 
 class RefinementProgressError(AssertionError):
@@ -322,13 +375,13 @@ def cegar(
     Where a full restart would explore again from the root, the reached set
     is pruned to the states that avoid every location whose tracked set grew,
     and ``reach`` resumes from it, deepest state first, where the first
-    exploration is breadth-first; the fixpoint is the same, only the
+    exploration goes by depth; the fixpoint is the same, only the
     exploration order differs.  Location ranks for that order
     (``depth_first_search``) are computed once per run.
 
     ``timeout`` bounds the run's wall time in seconds: ``reach`` checks it
-    before each state it expands, interpolation before each cut, and each
-    whole-path pass every ``paths.CLOCK_STRIDE`` steps.  A run that hits it,
+    before each state it takes off the waitlist, interpolation before each
+    cut, and each whole-path pass every ``paths.CLOCK_STRIDE`` steps.  A run that hits it,
     the state limit or the value limit (a product of more than
     ``values.MAX_VALUE_BITS`` bits) returns UNKNOWN with the counters so far:
     ``timeout``, ``state-limit`` or ``value-limit``.

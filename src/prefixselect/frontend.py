@@ -107,7 +107,17 @@ class ParseError(ValueError):
 
 
 class ControlFlowAutomaton(Frozen):
-    __slots__ = ("locations", "initial", "error", "edges", "variables", "_adjacency")
+    """Locations, edges and variables of a program.
+
+    A block head is the initial location, the error location, or a location
+    whose in-degree or out-degree is not 1.  A block edge starts with an
+    out-edge of a head and follows the locations of one in-edge and one
+    out-edge up to the next head, so every edge lies on exactly one block
+    edge.  ``block_edges`` lists a head's block edges as tuples of (operation,
+    location) steps, shortest first.
+    """
+
+    __slots__ = ("locations", "initial", "error", "edges", "variables", "_adjacency", "_blocks")
 
     def __init__(
         self,
@@ -126,9 +136,31 @@ class ControlFlowAutomaton(Frozen):
         for src, op, dst in edges:
             adj[src].append((op, dst))
         set_field(self, "_adjacency", {l: tuple(v) for l, v in adj.items()})
+        indegree = dict.fromkeys(locations, 0)
+        for _, _, dst in edges:
+            indegree[dst] += 1
+        heads = {
+            l for l in locations
+            if l in (initial, error) or indegree[l] != 1 or len(adj[l]) != 1
+        }
+        blocks = {}
+        for head in heads:
+            out = []
+            for step in adj[head]:
+                block = [step]
+                while step[1] not in heads:
+                    step = adj[step[1]][0]
+                    block.append(step)
+                out.append(tuple(block))
+            out.sort(key=len)
+            blocks[head] = tuple(out)
+        set_field(self, "_blocks", blocks)
 
     def out_edges(self, loc: int) -> tuple[tuple[Operation, int], ...]:
         return self._adjacency[loc]
+
+    def block_edges(self, head: int) -> tuple[tuple[tuple[Operation, int], ...], ...]:
+        return self._blocks[head]
 
 
 # whitespace and comments match no group and are dropped; literals and names

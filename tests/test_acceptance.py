@@ -29,7 +29,7 @@ from prefixselect.values import BOTTOM, TOP
 
 LIMITS = Limits(max_refinements=200, max_states=100_000)
 FIG2_SIZES = [2, 3, 5, 8, 10, 20, 50, 100, 150, 200]
-HARD_SIZE = 60_000  # unsolvable within the state limit unless the loop
+HARD_SIZE = 120_000  # unsolvable within the state limit unless the loop
 # counter stays untracked
 RANDOM_TASKS = 39  # 10 family sizes + 1 hard size + 39 random = 50 tasks
 

@@ -451,7 +451,7 @@ class TestBench:
         text = format_bench_csv(rows, heuristics, timings=False)
         lines = text.splitlines()
         assert lines[0] == ",".join(BENCH_COLUMNS)
-        assert lines[1] == "a_safe.imp,classic,TRUE,1,7,2,"
+        assert lines[1] == "a_safe.imp,classic,TRUE,1,6,2,"
         assert lines[2].startswith("b_unsafe.imp,classic,FALSE,")
         assert lines[3] == "# summary"
         assert lines[4] == "# heuristic,solved,tasks,total_duration_ms"

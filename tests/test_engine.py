@@ -174,9 +174,12 @@ class TestCoverage:
 
 
 def chain_locations(state):
+    """Every location on the chain from the root to ``state``, the inner
+    locations of its blocks included."""
     locs = set()
     while state is not None:
         locs.add(state.loc)
+        locs.update(loc for _, loc in state.steps)
         state = state.parent
     return locs
 
@@ -245,15 +248,19 @@ class TestLazyRestart:
         reached, hit = reach(cfa, Precision(), 100_000)
         assert hit
         states = list(reached.states)
-        pending = set(waiting(reached))
-        dropped = {s for s in states if s.open and s not in pending}
         error = reached.error_state
+        candidates = waiting(reached)
+        assert not any(s.open for s in candidates)
+        # stored states are expanded as soon as they are stored, so the open
+        # ones are the error state and the states that a covered candidate
+        # reopened
+        dropped = {s for s in states if s.open and s is not error}
         rng = random.Random(index)
         changed = set(rng.sample(cfa.locations, rng.randint(0, len(cfa.locations) // 3)))
         removed = [s for s in states if s is error or chain_locations(s) & changed]
         kept = [s for s in states if s not in removed]
-        reopened = {s.parent for s in removed}
-        requeued = [s for s in kept if s in pending or s in dropped or s in reopened]
+        reopened = {s.parent for s in removed + candidates}
+        requeued = [s for s in kept if s in dropped or s in reopened]
 
         reached.prune(changed)
 
@@ -268,10 +275,26 @@ class TestLazyRestart:
         assert sum(len(stored) for d in reached.by_loc.values() for _, stored in d.values()) == len(kept)
         assert drain(reached) == deepest_first(reached, requeued)
 
+    def test_prune_inside_a_block(self):
+        # the state at the loop head is reached by one block edge of three
+        # steps, the two assignments and the loop's entry; a change at the
+        # location between the assignments alone invalidates it, although
+        # neither it nor its parent sits there
+        cfa = load_cfa("var x, y; x := 0; y := 1; while (x < 2) { x := x + 1; }")
+        reached, hit = reach(cfa, Precision(), 1000)
+        assert not hit
+        root, head = reached.states[:2]
+        assert head.parent is root and len(head.steps) == 3
+        inner = head.steps[0][1]
+        assert inner not in {s.loc for s in reached.states}
+        reached.prune({inner})
+        assert reached.states == [root]
+        assert [s for _, _, s in reached.waitlist] == [root]
+
     def test_prune_requeues_unexpanded_and_covering(self):
-        # the loop head drops its second visit as covered, and the states
-        # still queued when the breadth-first exploration from the root
-        # reaches the error are never expanded
+        # the loop head drops its second visit as covered, and the exit's
+        # candidate is still queued when the exploration from the root
+        # reaches the error
         cfa = load_cfa(
             "var x, y; x := 0; y := nondet(); while (y < 3) { y := y + 1; } "
             "if (x > 0) { error; } x := 1; x := 2;"
@@ -279,18 +302,35 @@ class TestLazyRestart:
         reached, hit = reach(cfa, Precision(), 1000)
         assert hit
         error = reached.error_state
-        pending = [s for s in waiting(reached) if s is not error]
-        dropped = [s for s in reached.states if s.open and s not in pending and s is not error]
-        assert dropped and pending
+        candidates = waiting(reached)
+        covering = [s for s in reached.states if s.open and s is not error]
+        assert candidates and covering
         reached.prune(set())
         queued = {id(s) for s in waiting(reached)}
         assert id(error.parent) in queued
-        assert {id(s) for s in dropped + pending} <= queued
+        assert {id(s) for s in covering} | {id(s.parent) for s in candidates} <= queued
         requeued = [s for s in reached.states if id(s) in queued]
         popped = drain(reached)
         assert popped == deepest_first(reached, requeued)
         ranks = [reached.rank[s.loc] for s in popped]
         assert ranks == sorted(ranks, reverse=True) and ranks[0] > ranks[-1]
+
+    def test_prune_requeues_parents_of_queued_candidates(self):
+        # the long arm of the inner if is still a candidate when the else
+        # branch reaches the error; its parent, the inner if's head, was
+        # expanded and is not the error's parent, and has to be expanded
+        # again
+        cfa = load_cfa(
+            "var x, y; if (x > 0) { y := 0; if (y > 0) { y := 1; y := 2; y := 3; } } "
+            "else { x := 1; x := 2; error; }"
+        )
+        reached, hit = reach(cfa, Precision(), 1000)
+        assert hit
+        [candidate] = waiting(reached)
+        head = candidate.parent
+        assert head is not reached.error_state.parent and not head.open
+        reached.prune(set())
+        assert head.open and head in waiting(reached)
 
     def test_root_pruned_starts_fresh(self):
         cfa = load_cfa(BRANCH_PROGRAM)
@@ -310,9 +350,13 @@ class TestLazyRestart:
             precision, reached = calls[-1]
             assert not reached.waitlist
             for state in reached.states:
-                for op, dst in cfa.out_edges(state.loc):
-                    value = restrict(sp(op, state.value), precision.at(dst))
-                    assert value is BOTTOM or reached.covered(dst, value)
+                for block in cfa.block_edges(state.loc):
+                    value = state.value
+                    for op, loc in block:
+                        value = restrict(sp(op, value), precision.at(loc))
+                        if value is BOTTOM:
+                            break
+                    assert value is BOTTOM or reached.covered(loc, value)
 
     def test_resumed_and_fresh_cover_each_other(self, monkeypatch):
         for cfa, _, calls in safe_refined_runs(monkeypatch, 6):
@@ -364,7 +408,7 @@ class TestLiveRangeWidening:
             cfa = load_cfa(fig2_program(n))
             verdict, stats = cegar(cfa, Heuristic.DOMAIN_TYPE)
             assert verdict.kind == "TRUE"
-            assert (stats.refinements, stats.states_created) == (1, 15)
+            assert (stats.refinements, stats.states_created) == (1, 8)
             verdict, stats = cegar(cfa, Heuristic.CLASSIC)
             assert verdict.kind == "TRUE"
             classic_states.append(stats.states_created)
@@ -408,8 +452,9 @@ class TestExplorationOrder:
     what that order gives."""
 
     def test_first_exploration_is_breadth_first(self):
-        # under the empty precision every state is TOP at its location, so
-        # the first counterexample is a shortest path to the error location
+        """Under the empty precision every state is TOP at its location, so
+        the first counterexample is a path to the error location that is
+        shortest in edges, whatever the lengths of the block edges on it."""
         sources = [random_program(7, index) for index in range(120)]
         sources += [fig2_program(10), wide_flags_program(6)]
         hits = 0
@@ -424,19 +469,52 @@ class TestExplorationOrder:
         assert hits == 121
 
     @pytest.mark.parametrize(
-        "k, states, refinements", [(6, 478, 6), (7, 896, 7), (8, 1703, 8), (10, 6404, 10)]
+        "source, steps",
+        [
+            (random_program(7, 3), 13),
+            # the else branch reaches the inner if's head after 2 steps, and
+            # each arm of that if joins the 6-step then branch after 2 more
+            (
+                "var x, y; if (x > 0) { y := 1; y := 2; y := 3; y := 4; y := 5; } "
+                "else { x := 1; if (y > 0) { x := 2; } else { x := 3; } } error;",
+                5,
+            ),
+        ],
+        ids=["random_s7_003", "late-short-branch"],
+    )
+    def test_join_keeps_the_shorter_branch(self, source, steps):
+        # block edges of different lengths meet at a head before the error.
+        # A candidate is checked for coverage when it leaves the waitlist,
+        # so the one that took fewer steps is stored and covers the other,
+        # even when its parent was expanded after the other's
+        cfa = load_cfa(source)
+        reached, hit = reach(cfa, Precision(), 100_000)
+        assert hit
+        assert len(extract_error_path(reached)) == error_distance(cfa) == steps
+
+    def test_states_only_at_block_heads(self):
+        cfa = load_cfa(wide_flags_program(4))
+        reached, _ = reach(cfa, full_precision(cfa, cfa.variables), 100_000)
+        heads = set(cfa._blocks)
+        assert {s.loc for s in reached.states} <= heads < set(cfa.locations)
+        for state in reached.states[1:]:
+            assert state.steps in cfa.block_edges(state.parent.loc)
+            assert state.depth == state.parent.depth + len(state.steps)
+
+    @pytest.mark.parametrize(
+        "k, states, refinements", [(6, 311, 6), (7, 587, 7), (8, 1122, 8), (10, 4249, 10)]
     )
     def test_wide_flags(self, k, states, refinements):
         verdict, stats = cegar(load_cfa(wide_flags_program(k)), Heuristic.DOMAIN_TYPE)
         assert verdict.kind == "TRUE"
         assert (stats.states_created, stats.refinements) == (states, refinements)
 
-    @pytest.mark.parametrize("n, classic_states", [(10, 60), (100, 420), (300, 1220)])
+    @pytest.mark.parametrize("n, classic_states", [(10, 31), (100, 211), (300, 611)])
     def test_flag_loop_family(self, n, classic_states):
         cfa = load_cfa(fig2_program(n))
         verdict, stats = cegar(cfa, Heuristic.DOMAIN_TYPE)
         assert verdict.kind == "TRUE"
-        assert (stats.states_created, stats.refinements) == (15, 1)
+        assert (stats.states_created, stats.refinements) == (8, 1)
         verdict, stats = cegar(cfa, Heuristic.CLASSIC)
         assert verdict.kind == "TRUE"
         assert (stats.states_created, stats.refinements) == (classic_states, 2)
@@ -444,10 +522,10 @@ class TestExplorationOrder:
     def test_random_corpus_totals(self):
         # (states, refinements) summed over seed 7's 120 programs
         bounds = {
-            Heuristic.CLASSIC: (4529, 145),
-            Heuristic.PREFIX_SHORTEST: (4491, 140),
-            Heuristic.PREFIX_LONGEST: (4079, 122),
-            Heuristic.DOMAIN_TYPE: (4149, 127),
+            Heuristic.CLASSIC: (1531, 145),
+            Heuristic.PREFIX_SHORTEST: (1455, 140),
+            Heuristic.PREFIX_LONGEST: (1329, 122),
+            Heuristic.DOMAIN_TYPE: (1357, 127),
         }
         cfas = [load_cfa(random_program(7, index)) for index in range(120)]
         for heuristic, (states, refinements) in bounds.items():
@@ -589,7 +667,7 @@ class TestCegar:
         # assignment; every other cut keeps the interpolant it had
         verdict, stats = cegar(load_cfa(checks_program(10)), heuristic)
         calls = 65 if heuristic is Heuristic.CLASSIC else stats.refinements
-        assert (verdict.kind, stats.refinements, stats.states_created) == ("TRUE", 10, 151)
+        assert (verdict.kind, stats.refinements, stats.states_created) == ("TRUE", 10, 78)
         assert stats.interpolation_calls == calls
         assert stats.prefixes_total == 10
 

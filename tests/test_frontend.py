@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,12 @@ from conftest import (
 from test_values import VARS, nonbottom
 from prefixselect.frontend import MAX_DEPTH, ParseError, cfa_to_dot, load_cfa
 from prefixselect.engine import Limits, cegar
-from prefixselect.generators import fig2_program, random_program
+from prefixselect.generators import (
+    checks_program,
+    fig2_program,
+    random_program,
+    wide_flags_program,
+)
 from prefixselect.lang import (
     And,
     Assign,
@@ -572,6 +578,41 @@ class TestBuildCfa:
     def test_assume_statement(self):
         cfa = load_cfa("var x; assume(x > 0);")
         assert any(isinstance(op, Assume) for _, op, _ in cfa.edges)
+
+
+class TestBlockEdges:
+    def test_block_edges_partition_the_edges(self):
+        # heads are the initial and error locations and every location whose
+        # in-degree or out-degree is not 1; the block edges from them, each
+        # ending at its first head, hold every edge exactly once
+        sources = [random_program(seed, i) for seed in range(1, 6) for i in range(60)]
+        sources += [fig2_program(n) for n in (10, 100, 300)]
+        sources += [wide_flags_program(k) for k in (6, 7, 8)]
+        sources += [checks_program(n) for n in (1, 10)]
+        sources += ["", "var x; x := 1;", "var x; error;"]
+        for source in sources:
+            cfa = load_cfa(source)
+            indegree = Counter(dst for _, _, dst in cfa.edges)
+            heads = {
+                loc
+                for loc in cfa.locations
+                if loc in (cfa.initial, cfa.error)
+                or indegree[loc] != 1
+                or len(cfa.out_edges(loc)) != 1
+            }
+            assert set(cfa._blocks) == heads, source
+            walked = Counter()
+            for head in heads:
+                blocks = cfa.block_edges(head)
+                assert [len(b) for b in blocks] == sorted(len(b) for b in blocks)
+                for block in blocks:
+                    src = head
+                    for op, dst in block:
+                        walked[src, op, dst] += 1
+                        src = dst
+                    assert [loc in heads for _, loc in block[:-1]] == [False] * (len(block) - 1)
+                    assert src in heads
+            assert walked == Counter(cfa.edges), source
 
 
 class TestDot:
