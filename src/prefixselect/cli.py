@@ -21,7 +21,8 @@ prints the ``RunStats`` fields, ``rounds`` among them, plus ``verdict``,
 
 ``--timeout`` bounds the wall time of each CEGAR run, not counting parsing.
 The run checks it in process, before each state it explores, before each
-interpolation cut and every 4096 steps of a whole-path pass, and ends with
+interpolation cut, and every 4096 steps of a whole-path pass and of the
+live-range search that precedes the first exploration, and ends with
 UNKNOWN(timeout) and the counters it has reached; like the verdict, those
 counters depend on timing.  ``bench --jobs N`` runs N tasks on threads, so
 with N > 1 a task's wall time, and what its timeout allows, includes waiting

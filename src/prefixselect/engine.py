@@ -376,25 +376,28 @@ def cegar(
     is pruned to the states that avoid every location whose tracked set grew,
     and ``reach`` resumes from it, deepest state first, where the first
     exploration goes by depth; the fixpoint is the same, only the
-    exploration order differs.  Location ranks for that order
-    (``depth_first_search``) are computed once per run.
+    exploration order differs.  One ``depth_first_search`` per run gives the
+    location ranks for that order and the strongly connected components that
+    ``classify_domain_types`` reads.
 
     ``timeout`` bounds the run's wall time in seconds: ``reach`` checks it
     before each state it takes off the waitlist, interpolation before each
-    cut, and each whole-path pass every ``paths.CLOCK_STRIDE`` steps.  A run that hits it,
-    the state limit or the value limit (a product of more than
-    ``values.MAX_VALUE_BITS`` bits) returns UNKNOWN with the counters so far:
-    ``timeout``, ``state-limit`` or ``value-limit``.
+    cut, and each whole-path pass and the live-range search every
+    ``paths.CLOCK_STRIDE`` steps.  A run that hits it, the state limit or the
+    value limit (a product of more than ``values.MAX_VALUE_BITS`` bits)
+    returns UNKNOWN with the counters so far: ``timeout``, ``state-limit`` or
+    ``value-limit``.
     """
     stats = RunStats()
     start = time.perf_counter()
     deadline = None if timeout is None else start + timeout
-    table = classify_domain_types(cfa)
-    live = live_locations(cfa)
+    rank, component = depth_first_search(cfa)
+    table = classify_domain_types(cfa, component)
     precision = Precision()
     verdict: Optional[Verdict] = None
-    reached = ReachedSet(depth_first_search(cfa)[0])
+    reached = ReachedSet(rank)
     try:
+        live = live_locations(cfa, deadline)
         while True:
             reached, hit = reach(
                 cfa, precision, limits.max_states, stats, reached, deadline

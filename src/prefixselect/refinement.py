@@ -94,27 +94,15 @@ class Precision(Frozen):
 # --- domain-type classification ----------------------------------------------
 
 
-def _is_counter_update(op) -> Optional[str]:
-    """x := x + c or x := x - c (c a literal); returns x, else None."""
-    if not isinstance(op, Assign):
-        return None
+def _is_counter_update(op: Assign) -> bool:
+    """x := x + c, x := c + x or x := x - c, c a literal."""
     e = op.expr
     if not (isinstance(e, BinaryOp) and e.op in ("+", "-")):
-        return None
-    if (
-        isinstance(e.left, VarRef)
-        and e.left.name == op.var
-        and isinstance(e.right, IntLit)
-    ):
-        return op.var
-    if (
-        e.op == "+"
-        and isinstance(e.right, VarRef)
-        and e.right.name == op.var
-        and isinstance(e.left, IntLit)
-    ):
-        return op.var
-    return None
+        return False
+    x, c = e.left, e.right
+    if e.op == "+" and isinstance(x, IntLit):
+        x, c = c, x
+    return isinstance(x, VarRef) and x.name == op.var and isinstance(c, IntLit)
 
 
 def _direct_comparisons(p: Pred):
@@ -193,83 +181,81 @@ def depth_first_search(
     return {loc: top - i for i, loc in enumerate(postorder)}, component
 
 
-def classify_domain_types(cfa: ControlFlowAutomaton) -> dict[str, DomainType]:
-    """Classify every declared variable as boolean, loop counter, or other.
+def classify_domain_types(
+    cfa: ControlFlowAutomaton, component: Mapping[int, int]
+) -> dict[str, DomainType]:
+    """Classify every declared variable as boolean, loop counter, or other,
+    given each location's strongly connected component (``component``, as
+    ``depth_first_search`` returns it).
 
     Loop counter: an x := x ± literal update on an edge inside a cyclic
     strongly connected component of the CFA, one of whose inner edges also
     carries an assume mentioning x.  Boolean: all assignments are 0/1 literals
     or copies of booleans, all predicate occurrences are ==/!= against 0/1 or
     booleans (greatest fixpoint).  Precedence: loop counter > boolean > other.
+
+    One pass over the edges collects the (component, variable) pairs of
+    updates and of guards, the names known not to be boolean, and for each
+    name y the names that are boolean only if y is; a worklist then takes
+    every name out of the boolean set once something it needs is not in it.
     """
-    _, scc_of = depth_first_search(cfa)
+    updates: set[tuple[int, str]] = set()
+    guards: set[tuple[int, str]] = set()
+    not_boolean: set[str] = set()
+    needed_by: dict[str, list[str]] = {}
 
-    # an edge whose ends share a component lies on a cycle of that component
-    updates: dict[int, set[str]] = {}
-    assume_vars: dict[int, set[str]] = {}
+    def boolean_if(x: str, other) -> None:
+        # x is boolean only if ``other`` is a 0/1 literal or a boolean name
+        if isinstance(other, VarRef):
+            needed_by.setdefault(other.name, []).append(x)
+        elif not (isinstance(other, IntLit) and other.value in (0, 1)):
+            not_boolean.add(x)
+
     for src, op, dst in cfa.edges:
-        scc = scc_of[src]
-        if scc != scc_of[dst]:
-            continue
-        x = _is_counter_update(op)
-        if x is not None:
-            updates.setdefault(scc, set()).add(x)
+        # an edge whose ends share a component lies on a cycle of that component
+        inner = component[src] == component[dst]
         if isinstance(op, Assume):
-            assume_vars.setdefault(scc, set()).update(tree_variables(op.pred))
-    loop_counters: set[str] = set()
-    for scc, names in updates.items():
-        loop_counters |= names & assume_vars.get(scc, set())
-
-    # boolean fixpoint
-    candidates = set(cfa.variables)
-    changed = True
-    while changed:
-        changed = False
-        for _, op, _ in cfa.edges:
-            if isinstance(op, Assign):
-                if op.var not in candidates:
-                    continue
-                e = op.expr
-                ok = (isinstance(e, IntLit) and e.value in (0, 1)) or (
-                    isinstance(e, VarRef) and e.name in candidates
-                )
-                if not ok:
-                    candidates.discard(op.var)
-                    changed = True
-            elif isinstance(op, AssignNondet):
-                if op.var in candidates:
-                    candidates.discard(op.var)
-                    changed = True
-            else:
-                for x, other in _direct_comparisons(op.pred):
-                    if x not in candidates:
-                        continue
-                    ok = other is not None and (
-                        (isinstance(other, IntLit) and other.value in (0, 1))
-                        or (isinstance(other, VarRef) and other.name in candidates)
-                    )
-                    if not ok:
-                        candidates.discard(x)
-                        changed = True
+            for x, other in _direct_comparisons(op.pred):
+                boolean_if(x, other)
+            if inner:
+                guards.update((component[src], x) for x in tree_variables(op.pred))
+        elif isinstance(op, AssignNondet):
+            not_boolean.add(op.var)
+        else:
+            boolean_if(op.var, op.expr)
+            if inner and _is_counter_update(op):
+                updates.add((component[src], op.var))
+    loop_counters = {x for _, x in updates & guards}
+    boolean = set(cfa.variables) - not_boolean
+    work = [y for y in needed_by if y not in boolean]
+    while work:
+        for x in needed_by.get(work.pop(), ()):
+            if x in boolean:
+                boolean.discard(x)
+                work.append(x)
 
     table = {}
     for x in cfa.variables:
         if x in loop_counters:
             table[x] = DomainType.LOOP_COUNTER
-        elif x in candidates:
+        elif x in boolean:
             table[x] = DomainType.BOOLEAN
         else:
             table[x] = DomainType.INTEGER_OTHER
     return table
 
 
-def live_locations(cfa: ControlFlowAutomaton) -> dict[str, frozenset[int]]:
+def live_locations(
+    cfa: ControlFlowAutomaton, deadline: Optional[float] = None
+) -> dict[str, frozenset[int]]:
     """Locations where each variable is live.
 
     x is live at l when some path from l reaches an edge that reads x (an
     assignment's expression or an assume's predicate mentions x) and crosses
     no edge that kills x on the way (``x := nondet()``, or ``x := e`` where e
     does not mention x).  One backward search over the edges per variable.
+    Raises LimitReached("timeout") once ``deadline`` passes, reading the clock
+    every ``paths.CLOCK_STRIDE`` search steps over all variables together.
     """
     readers: dict[str, list[int]] = {x: [] for x in cfa.variables}
     preds: dict[int, list[tuple[int, Optional[str]]]] = {l: [] for l in cfa.locations}
@@ -283,10 +269,13 @@ def live_locations(cfa: ControlFlowAutomaton) -> dict[str, frozenset[int]]:
             readers[x].append(src)
         preds[dst].append((src, killed))
     live = {}
+    steps = 0
     for x, sources in readers.items():
         seen = set(sources)
         stack = list(seen)
         while stack:
+            steps += 1
+            check_deadline(deadline, steps)
             for src, killed in preds[stack.pop()]:
                 if killed != x and src not in seen:
                     seen.add(src)

@@ -67,6 +67,16 @@ def mkpath(*steps) -> Path:
     return Path(tuple(steps))
 
 
+def reversed_chain(n: int) -> str:
+    """The copies x(k+1) := xk for k = n-2 down to 0, then x0 := 5 and a check
+    of the last copy.  Every copy runs against edge order, so a rule that
+    re-scans the edges until nothing changes takes n passes, and xk is live
+    at about n - k locations: some n * n / 2 (location, variable) pairs."""
+    names = ", ".join("x%d" % k for k in range(n))
+    copies = " ".join("x%d := x%d;" % (k, k - 1) for k in range(n - 1, 0, -1))
+    return "var %s; %s x0 := 5; if (x%d == 7) { error; }" % (names, copies, n - 1)
+
+
 def harvest_spurious_paths(count: int, heuristics=None, limits=None):
     """Run CEGAR over deterministically generated random programs, collecting
     refuted error paths (with the CFA variable order) until ``count`` paths."""

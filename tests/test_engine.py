@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CORPUS_SEED
+from conftest import CORPUS_SEED, reversed_chain
 from prefixselect import engine, paths
 from prefixselect.engine import (
     Limits,
@@ -584,6 +584,14 @@ class TestCegar:
         assert verdict.render() == "UNKNOWN(timeout)"
         assert stats.states_created >= 1
         assert stats.duration_ms > 0.0
+
+    def test_timeout_during_live_range_search(self):
+        # liveness alone takes seconds here: about 8 million (location,
+        # variable) pairs
+        cfa = load_cfa(reversed_chain(4000))
+        verdict, stats = cegar(cfa, timeout=0.1)
+        assert verdict.render() == "UNKNOWN(timeout)"
+        assert stats.duration_ms < 1000
 
     def test_deterministic(self):
         cfa = load_cfa(random_program(11, 3))

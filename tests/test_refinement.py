@@ -3,15 +3,31 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assign, assume_cmp, mkpath
+from conftest import assign, assume_cmp, mkpath, reversed_chain
+from prefixselect import engine, refinement
 from prefixselect.engine import cegar, extract_error_path, reach
 from prefixselect.frontend import ControlFlowAutomaton, load_cfa
-from prefixselect.generators import fig2_program, random_program
+from prefixselect.generators import (
+    checks_program,
+    fig2_program,
+    random_program,
+    wide_flags_program,
+)
 from prefixselect.interpolation import InterpolantSequence, interpolant_sequence
-from prefixselect.lang import NOOP, Assign, AssignNondet, tree_variables
-from prefixselect.paths import extract_sliced_prefixes
+from prefixselect.lang import (
+    NOOP,
+    Assign,
+    AssignNondet,
+    Assume,
+    BinaryOp,
+    IntLit,
+    VarRef,
+    tree_variables,
+)
+from prefixselect.paths import LimitReached, extract_sliced_prefixes
 from prefixselect.refinement import (
     DomainType,
+    _direct_comparisons,
     Heuristic,
     Precision,
     check_refinement_progress,
@@ -74,7 +90,104 @@ class TestRefineClassic:
         assert "i" in tracked
 
 
+def components(cfa):
+    return depth_first_search(cfa)[1]
+
+
+def classify_by_fixpoint(cfa):
+    """Reference classifier: re-scans every edge until the boolean set stops
+    shrinking, and joins per-component updates and guards."""
+    scc_of = components(cfa)
+    updates, assume_vars = {}, {}
+    for src, op, dst in cfa.edges:
+        scc = scc_of[src]
+        if scc != scc_of[dst]:
+            continue
+        if isinstance(op, Assume):
+            assume_vars.setdefault(scc, set()).update(tree_variables(op.pred))
+        elif isinstance(op, Assign) and isinstance(op.expr, BinaryOp):
+            e = op.expr
+            orders = {"+": [(e.left, e.right), (e.right, e.left)], "-": [(e.left, e.right)]}
+            for x, c in orders.get(e.op, []):
+                if isinstance(x, VarRef) and x.name == op.var and isinstance(c, IntLit):
+                    updates.setdefault(scc, set()).add(op.var)
+    loop_counters = set()
+    for scc, names in updates.items():
+        loop_counters |= names & assume_vars.get(scc, set())
+
+    def zero_one(e):
+        return isinstance(e, IntLit) and e.value in (0, 1)
+
+    candidates = set(cfa.variables)
+    changed = True
+    while changed:
+        changed = False
+        for _, op, _ in cfa.edges:
+            if isinstance(op, Assume):
+                sides = list(_direct_comparisons(op.pred))
+            elif isinstance(op, Assign):
+                sides = [(op.var, op.expr)]
+            else:
+                sides = [(op.var, None)]
+            for x, other in sides:
+                ok = zero_one(other) or (
+                    isinstance(other, VarRef) and other.name in candidates
+                )
+                if x in candidates and not ok:
+                    candidates.discard(x)
+                    changed = True
+    return {
+        x: DomainType.LOOP_COUNTER
+        if x in loop_counters
+        else DomainType.BOOLEAN
+        if x in candidates
+        else DomainType.INTEGER_OTHER
+        for x in cfa.variables
+    }
+
+
+programs = st.one_of(
+    st.builds(random_program, st.integers(0, 30), st.integers(0, 300)),
+    st.builds(fig2_program, st.integers(1, 50)),
+    st.builds(wide_flags_program, st.integers(1, 8)),
+    st.builds(checks_program, st.integers(1, 50)),
+    st.builds(reversed_chain, st.integers(1, 60)),
+)
+
+
 class TestClassify:
+    @given(programs)
+    def test_matches_fixpoint_reference(self, source):
+        cfa = load_cfa(source)
+        assert classify_domain_types(cfa, components(cfa)) == classify_by_fixpoint(cfa)
+
+    def test_one_search_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(cfa):
+            calls.append(cfa)
+            return depth_first_search(cfa)
+
+        monkeypatch.setattr(engine, "depth_first_search", counted)
+        monkeypatch.setattr(refinement, "depth_first_search", counted)
+        cegar(load_cfa(fig2_program(10)))
+        assert len(calls) == 1
+
+    def test_one_pass_over_the_edges(self, monkeypatch):
+        # the copies run against edge order: a re-scan until nothing changes
+        # reads every assume once per copy
+        cfa = load_cfa(reversed_chain(300))
+        calls = []
+
+        def counted(pred):
+            calls.append(pred)
+            return _direct_comparisons(pred)
+
+        monkeypatch.setattr(refinement, "_direct_comparisons", counted)
+        table = classify_domain_types(cfa, components(cfa))
+        assert len(calls) == sum(isinstance(op, Assume) for _, op, _ in cfa.edges)
+        assert set(table.values()) == {DomainType.INTEGER_OTHER}
+
     def test_three_classes(self):
         cfa = load_cfa(
             "var b, i, x;"
@@ -83,7 +196,7 @@ class TestClassify:
             "if (b == 0) { error; }"
             "if (x < 5) { b := 0; }"
         )
-        table = classify_domain_types(cfa)
+        table = classify_domain_types(cfa, components(cfa))
         assert table["b"] is DomainType.BOOLEAN
         assert table["i"] is DomainType.LOOP_COUNTER
         assert table["x"] is DomainType.INTEGER_OTHER
@@ -95,7 +208,7 @@ class TestClassify:
             "var i, k; k := 0; i := 0;"
             "while (k < 3) { i := i + 1; k := k + 1; }"
         )
-        table = classify_domain_types(cfa)
+        table = classify_domain_types(cfa, components(cfa))
         assert table["k"] is DomainType.LOOP_COUNTER
         assert table["i"] is DomainType.INTEGER_OTHER
 
@@ -107,28 +220,28 @@ class TestClassify:
             "while (j < 3) { i := i + 1; j := j + 1; }"
             "while (i < 10) { j := j + 1; }"
         )
-        table = classify_domain_types(cfa)
+        table = classify_domain_types(cfa, components(cfa))
         assert table["j"] is DomainType.LOOP_COUNTER
         assert table["i"] is DomainType.INTEGER_OTHER
 
     def test_boolean_copy_chain(self):
         cfa = load_cfa("var p, q; p := 1; q := p; if (q != 0) { p := 0; }")
-        table = classify_domain_types(cfa)
+        table = classify_domain_types(cfa, components(cfa))
         assert table["p"] is DomainType.BOOLEAN
         assert table["q"] is DomainType.BOOLEAN
 
     def test_arithmetic_use_disqualifies_boolean(self):
         cfa = load_cfa("var b; b := 1; if (b < 2) { b := 0; }")
-        assert classify_domain_types(cfa)["b"] is DomainType.INTEGER_OTHER
+        assert classify_domain_types(cfa, components(cfa))["b"] is DomainType.INTEGER_OTHER
 
     def test_every_variable_classified(self):
         cfa = load_cfa("var a, b, c; a := 1;")
-        assert set(classify_domain_types(cfa)) == {"a", "b", "c"}
+        assert set(classify_domain_types(cfa, components(cfa))) == {"a", "b", "c"}
 
     def test_long_loop_body(self):
         body = " ".join("x := x + %d;" % k for k in range(3000))
         cfa = load_cfa("var i, x; i := 0; while (i < 5) { %s i := i + 1; }" % body)
-        assert classify_domain_types(cfa)["i"] is DomainType.LOOP_COUNTER
+        assert classify_domain_types(cfa, components(cfa))["i"] is DomainType.LOOP_COUNTER
 
 
 def reachable(succ, start):
@@ -219,6 +332,13 @@ def live_by_search(cfa, x, start):
 
 
 class TestLiveRanges:
+    def test_deadline_read_after_first_stride(self):
+        # fewer search steps than one stride: the clock is never read
+        assert live_locations(load_cfa(fig2_program(10)), deadline=0.0)
+        with pytest.raises(LimitReached) as exc:
+            live_locations(load_cfa(reversed_chain(200)), deadline=0.0)
+        assert exc.value.reason == "timeout"
+
     @given(st.integers(0, 30), st.integers(0, 300), st.data())
     def test_match_reference_search(self, seed, index, data):
         cfa = load_cfa(random_program(seed, index))
@@ -294,7 +414,7 @@ class TestChoose:
 class TestRefineSelecting:
     def test_family_path_domain_type_tracks_only_flag(self):
         cfa, path = first_spurious_path(fig2_program(10))
-        table = classify_domain_types(cfa)
+        table = classify_domain_types(cfa, components(cfa))
         result = refine_selecting(
             path, extract_sliced_prefixes(path), Heuristic.DOMAIN_TYPE, table
         )
